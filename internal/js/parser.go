@@ -1,13 +1,29 @@
 package js
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
+
+// tokenBufs recycles Parse's token buffers. The AST copies what it needs
+// out of the tokens, so a buffer is free again once its parse returns.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+// maxPooledTokens bounds the buffers kept for reuse, so that one huge
+// script does not pin its token array in the pool.
+const maxPooledTokens = 1 << 16
 
 // Parse parses a script (the contents of a <script> element, an event
 // handler attribute, or a timer string) and resolves variable bindings,
 // running the capture analysis that decides which locals are potentially
 // shared (§4.1).
+//
+// The whole source is lexed before parsing starts, so a lexical error
+// anywhere wins over a parse error earlier in the script.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	buf := tokenBufs.Get().(*[]Token)
+	toks, err := lex((*buf)[:0], src)
+	defer releaseTokens(buf, toks)
 	if err != nil {
 		return nil, err
 	}
@@ -22,6 +38,16 @@ func Parse(src string) (*Program, error) {
 	}
 	resolve(prog)
 	return prog, nil
+}
+
+// releaseTokens clears toks, dropping its references into the source,
+// and returns it to the pool as buf.
+func releaseTokens(buf *[]Token, toks []Token) {
+	clear(toks)
+	if cap(toks) <= maxPooledTokens {
+		*buf = toks[:0]
+		tokenBufs.Put(buf)
+	}
 }
 
 type parser struct {
@@ -351,7 +377,6 @@ func (p *parser) forStatement() (Stmt, error) {
 	// Distinguish for-in from the three-clause form.
 	var init Stmt
 	if p.atKeyword("var") {
-		save := p.pos
 		s, err := p.varStatement()
 		if err != nil {
 			return nil, err
@@ -360,7 +385,6 @@ func (p *parser) forStatement() (Stmt, error) {
 			p.next() // in
 			return p.forInRest(line, d.Name)
 		}
-		_ = save
 		init = s
 	} else if !p.atPunct(";") {
 		x, err := p.expressionNoIn()

@@ -17,6 +17,7 @@ package js
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -67,7 +68,7 @@ var keywords = map[string]bool{
 	"case": true, "default": true,
 }
 
-// punctuators, longest first within each starting byte, matched greedily.
+// punctuators, longest first, matched greedily.
 var puncts = []string{
 	"===", "!==", ">>>", "<<=", ">>=",
 	"==", "!=", "<=", ">=", "&&", "||", "++", "--",
@@ -75,6 +76,16 @@ var puncts = []string{
 	"{", "}", "(", ")", "[", "]", ";", ",", "<", ">", "+", "-", "*", "/",
 	"%", "=", "!", "?", ":", ".", "&", "|", "^", "~",
 }
+
+// punctsByByte indexes puncts by first byte; each entry keeps the
+// longest-first order, so matchPunct tries only the candidates that can
+// match.
+var punctsByByte = func() (t [256][]string) {
+	for _, p := range puncts {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
 
 // SyntaxError reports a lexing or parsing failure.
 type SyntaxError struct {
@@ -88,7 +99,17 @@ func (e *SyntaxError) Error() string {
 
 // Lex tokenizes src, returning the token stream ending in TokEOF.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
+	toks, err := lex(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lex appends the tokens of src to toks, which Parse passes in from its
+// buffer pool. The grown slice comes back even on error, so the caller
+// can return it to the pool.
+func lex(toks []Token, src string) ([]Token, error) {
 	line := 1
 	newline := false
 	i := 0
@@ -108,14 +129,14 @@ func Lex(src string) ([]Token, error) {
 		case c == '/' && i+1 < len(src) && src[i+1] == '*':
 			end := strings.Index(src[i+2:], "*/")
 			if end < 0 {
-				return nil, &SyntaxError{Line: line, Msg: "unterminated block comment"}
+				return toks, &SyntaxError{Line: line, Msg: "unterminated block comment"}
 			}
 			line += strings.Count(src[i:i+2+end+2], "\n")
 			i += 2 + end + 2
 		case c == '"' || c == '\'':
 			s, n, err := lexString(src[i:], line)
 			if err != nil {
-				return nil, err
+				return toks, err
 			}
 			toks = append(toks, Token{Kind: TokString, Text: s, Line: line, NewlineBefore: newline})
 			newline = false
@@ -123,7 +144,7 @@ func Lex(src string) ([]Token, error) {
 		case c >= '0' && c <= '9' || c == '.' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9':
 			num, n, err := lexNumber(src[i:], line)
 			if err != nil {
-				return nil, err
+				return toks, err
 			}
 			toks = append(toks, Token{Kind: TokNumber, Num: num, Line: line, NewlineBefore: newline})
 			newline = false
@@ -143,7 +164,7 @@ func Lex(src string) ([]Token, error) {
 		default:
 			p := matchPunct(src[i:])
 			if p == "" {
-				return nil, &SyntaxError{Line: line, Msg: fmt.Sprintf("unexpected character %q", c)}
+				return toks, &SyntaxError{Line: line, Msg: fmt.Sprintf("unexpected character %q", c)}
 			}
 			toks = append(toks, Token{Kind: TokPunct, Text: p, Line: line, NewlineBefore: newline})
 			newline = false
@@ -154,10 +175,29 @@ func Lex(src string) ([]Token, error) {
 	return toks, nil
 }
 
+// lexString scans the quoted literal at the start of src and returns its
+// value and length. A literal without escapes is returned as a substring
+// of src; only one with a backslash is decoded into a new string.
 func lexString(src string, line int) (string, int, error) {
 	quote := src[0]
+	for i := 1; i < len(src); i++ {
+		switch src[i] {
+		case quote:
+			return src[1:i], i + 1, nil
+		case '\\':
+			return lexEscapedString(src, i, line)
+		case '\n':
+			return "", 0, &SyntaxError{Line: line, Msg: "newline in string literal"}
+		}
+	}
+	return "", 0, &SyntaxError{Line: line, Msg: "unterminated string"}
+}
+
+// lexEscapedString finishes lexString from the first backslash, at i.
+func lexEscapedString(src string, i, line int) (string, int, error) {
+	quote := src[0]
 	var b strings.Builder
-	i := 1
+	b.WriteString(src[1:i])
 	for i < len(src) {
 		c := src[i]
 		switch c {
@@ -230,15 +270,19 @@ func lexNumber(src string, line int) (float64, int, error) {
 			i = j
 		}
 	}
-	var v float64
-	if _, err := fmt.Sscanf(src[:i], "%g", &v); err != nil {
+	// src[:i] is plain decimal; out-of-range literals such as 1e400 fail
+	// with ErrRange and are reported as malformed.
+	v, err := strconv.ParseFloat(src[:i], 64)
+	if err != nil {
 		return 0, 0, &SyntaxError{Line: line, Msg: "malformed number"}
 	}
 	return v, i, nil
 }
 
+// matchPunct returns the longest punctuator at the start of the
+// non-empty src, or "" if none starts there.
 func matchPunct(src string) string {
-	for _, p := range puncts {
+	for _, p := range punctsByByte[src[0]] {
 		if strings.HasPrefix(src, p) {
 			return p
 		}

@@ -79,6 +79,9 @@ func TestStoreHitSecondLevel(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1, StoreDir: t.TempDir()})
 	req := `{"site":` + racySite + `,"seed":1}`
 	_, cold := post(t, ts, "/v1/detect", req)
+	// The job persists its result after it answers (no fsync under the
+	// server lock), so wait for that write before asking again.
+	waitUntil(t, func() bool { return metricQuiet(ts, "serve.store.puts") >= 1 })
 
 	resp, warm := post(t, ts, "/v1/detect", req)
 	if h := resp.Header.Get("X-Webracer-Cache"); h != "store-hit" {
