@@ -63,12 +63,15 @@ sampled:
 # Schedule-pruning battery under the Go race detector: the pruned-vs-
 # unpruned differential (byte-identical sweeps at workers 1 vs 4 across
 # the sched/fault/stress corpora, every replayable detector, filters and
-# fault plans), the canonical-fingerprint invariance layer with a short
-# run of its relabeling fuzzer, the class-accounting unit tests, the
-# serve-layer prune tests, and the pinned explore.classes.* golden. The
-# E12 table reprints the passes-saved numbers.
+# fault plans), the canonical-fingerprint invariance layer and its
+# byte-identity differentials against the original implementations,
+# the class-accounting unit tests, the serve-layer prune tests, and the
+# pinned explore.classes.* golden; then one iteration of the pruning
+# benchmarks and a short run of the relabeling/oracle fuzzer. The E12
+# table reprints the passes-saved numbers.
 prune:
 	go test -race -run 'TestPrune|TestFingerprint|TestClassSet|TestClassStats|TestGoldenMetricsPrune' . ./internal/canon/ ./internal/explore/ ./internal/serve/
+	go test -run '^$$' -bench 'Fingerprint|SeedSweep' -benchtime 1x .
 	go test -run '^$$' -fuzz FuzzCanonicalFingerprint -fuzztime 30s ./internal/canon/
 	go run ./cmd/experiments -prune
 

@@ -627,3 +627,61 @@ func BenchmarkSeedSweepParallel(b *testing.B) {
 		}
 	}
 }
+
+// ---- schedule pruning ----
+
+// pruneBenchSites is the pruning benchmarks' page set: the 8 sched
+// pages (schedule-dependent, so seeds collapse into few classes) and
+// the first 8 corpus pages.
+func pruneBenchSites() []*loader.Site {
+	sites := make([]*loader.Site, 0, 16)
+	for i := 0; i < 8; i++ {
+		sites = append(sites, sitegen.Generate(sitegen.SchedSpec(i)))
+	}
+	for i := 0; i < 8; i++ {
+		sites = append(sites, corpusGen(1)(i))
+	}
+	return sites
+}
+
+// BenchmarkFingerprint isolates the canonical trace-class fingerprint
+// over the cheap-pass results of the sched and corpus pages; one op
+// fingerprints all 16.
+func BenchmarkFingerprint(b *testing.B) {
+	var results []*Result
+	for _, site := range pruneBenchSites() {
+		results = append(results, RunConfig(site, cheapConfig(DefaultConfig(1))))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, res := range results {
+			_ = fingerprintOf(res)
+		}
+	}
+}
+
+// seedSweepBench runs an 8-seed sweep of every pruning benchmark page on
+// one worker per op.
+func seedSweepBench(b *testing.B, prune bool) {
+	sites := pruneBenchSites()
+	cfg := DefaultConfig(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, site := range sites {
+			if _, err := RunSeedsParallel(site, cfg, 8,
+				ParallelConfig{Workers: 1, Prune: prune}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkSeedSweepPruned and BenchmarkSeedSweepUnpruned compare the
+// two seed-sweep paths on the same pages: the pruned one runs every seed
+// without a live detector, fingerprints it, and replays one trace per
+// class through the detector.
+func BenchmarkSeedSweepPruned(b *testing.B) { seedSweepBench(b, true) }
+
+func BenchmarkSeedSweepUnpruned(b *testing.B) { seedSweepBench(b, false) }

@@ -28,10 +28,13 @@
 package canon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Builder accumulates one execution's labeled happens-before DAG:
@@ -39,30 +42,44 @@ import (
 // declares ordering, and Event attaches the race-relevant labels that
 // make an operation part of the fingerprint. IDs are only plumbing — the
 // fingerprint is independent of how the DAG happens to be numbered.
+//
+// Edges and events are kept as two flat lists in insertion order and
+// grouped per operation only when Fingerprint runs, so building costs
+// two amortized appends rather than a slice per operation.
 type Builder struct {
-	preds  [][]int32
-	events [][]string
+	n      int
+	edges  []edge
+	events []event
 }
 
-// New returns a Builder for a DAG of n operations with IDs 1..n.
+// edge and event hold 0-based operation indices.
+type edge struct{ from, to int32 }
+
+type event struct {
+	id    int32
+	label string
+}
+
+// New returns a Builder for a DAG of n operations with IDs 1..n. The
+// event list is sized for one label per operation, the common shape.
 func New(n int) *Builder {
 	if n < 0 {
 		n = 0
 	}
-	return &Builder{preds: make([][]int32, n), events: make([][]string, n)}
+	return &Builder{n: n, events: make([]event, 0, n)}
 }
 
 // Len reports the number of operations the builder was sized for.
-func (b *Builder) Len() int { return len(b.preds) }
+func (b *Builder) Len() int { return b.n }
 
 // Edge records that operation `from` happens before operation `to`.
 // Out-of-range or self edges are ignored, so callers can feed a graph's
 // predecessor lists verbatim.
 func (b *Builder) Edge(from, to int) {
-	if from < 1 || to < 1 || from > len(b.preds) || to > len(b.preds) || from == to {
+	if from < 1 || to < 1 || from > b.n || to > b.n || from == to {
 		return
 	}
-	b.preds[to-1] = append(b.preds[to-1], int32(from))
+	b.edges = append(b.edges, edge{int32(from - 1), int32(to - 1)})
 }
 
 // Event attaches one race-relevant label to operation id — a shared
@@ -72,10 +89,108 @@ func (b *Builder) Edge(from, to int) {
 // may be added repeatedly; multiplicity is preserved (the event set is a
 // multiset).
 func (b *Builder) Event(id int, label string) {
-	if id < 1 || id > len(b.events) {
+	if id < 1 || id > b.n {
 		return
 	}
-	b.events[id-1] = append(b.events[id-1], label)
+	b.events = append(b.events, event{int32(id - 1), label})
+}
+
+// scratch is Fingerprint's working memory. It is pooled: a sweep
+// fingerprints every execution, and the buffers' sizes repeat from one
+// execution to the next.
+type scratch struct {
+	predStart, preds []int32 // CSR: preds[predStart[i]:predStart[i+1]]
+	succStart, succs []int32 // CSR successors, derived from preds
+	evStart          []int32 // CSR over labels
+	labels           []string
+	indeg            []int32
+	queue, order     []int32
+	depth            []int32 // Foata layer: relevant ops on the longest path
+	// near[i] is the range of arena holding i's nearest relevant
+	// ancestors (sorted op indices): i itself when relevant, else the
+	// union over predecessors. Identity — not hash — so a diamond
+	// through one ancestor counts once while two distinct ancestors
+	// that happen to hash equally still count twice.
+	near   [][2]int32
+	arena  []int32
+	anc    []int32    // one node's ancestors
+	hashes [][32]byte // relevant nodes only
+	final  []int32    // relevant nodes
+	msg    []byte     // one node's hash input
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledNodes bounds the scratch returned to the pool, so one huge
+// trace does not pin its buffers for later, small ones.
+const maxPooledNodes = 1 << 16
+
+// sized returns s resliced to length n and zeroed, reusing its array
+// when it is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// group fills the CSR predecessor, successor and label lists of b, and
+// the in-degrees. Within one operation, predecessors and labels keep
+// insertion order; successors are listed in ascending target order,
+// then by insertion.
+func (s *scratch) group(b *Builder) {
+	n := b.n
+	s.predStart = sized(s.predStart, n+1)
+	s.succStart = sized(s.succStart, n+1)
+	s.evStart = sized(s.evStart, n+1)
+	for _, e := range b.edges {
+		s.predStart[e.to+1]++
+		s.succStart[e.from+1]++
+	}
+	for _, ev := range b.events {
+		s.evStart[ev.id+1]++
+	}
+	for i := 0; i < n; i++ {
+		s.predStart[i+1] += s.predStart[i]
+		s.succStart[i+1] += s.succStart[i]
+		s.evStart[i+1] += s.evStart[i]
+	}
+	// The in-degree array serves as each list's fill cursor first.
+	cur := sized(s.indeg, n)
+	s.preds = sized(s.preds, len(b.edges))
+	for _, e := range b.edges {
+		s.preds[s.predStart[e.to]+cur[e.to]] = e.from
+		cur[e.to]++
+	}
+	clear(cur)
+	s.succs = sized(s.succs, len(b.edges))
+	for to := int32(0); to < int32(n); to++ {
+		for _, p := range s.preds[s.predStart[to]:s.predStart[to+1]] {
+			s.succs[s.succStart[p]+cur[p]] = to
+			cur[p]++
+		}
+	}
+	clear(cur)
+	s.labels = sized(s.labels, len(b.events))
+	for _, ev := range b.events {
+		s.labels[s.evStart[ev.id]+cur[ev.id]] = ev.label
+		cur[ev.id]++
+	}
+	for i := 0; i < n; i++ {
+		cur[i] = s.predStart[i+1] - s.predStart[i]
+	}
+	s.indeg = cur
+}
+
+// release drops the label references and returns s to the pool.
+func (s *scratch) release() {
+	clear(s.labels)
+	if len(s.predStart) > maxPooledNodes+1 || cap(s.arena) > 4*maxPooledNodes {
+		return
+	}
+	scratchPool.Put(s)
 }
 
 // Fingerprint returns the canonical class hash as a 64-char hex string.
@@ -86,34 +201,32 @@ func (b *Builder) Event(id int, label string) {
 // string). Inputs are expected to be DAGs; a cyclic input yields a
 // deterministic but unspecified value rather than a panic, so fuzzers
 // can feed arbitrary edge lists.
+//
+// Each relevant node hashes, through one reused buffer, the bytes
+// 'N' · u32(layer) · u32(#events) · (u32(len) · label)* · u32(#anc) ·
+// hash*, with labels and ancestor hashes sorted; the result hashes 'T' ·
+// u32(#nodes) · hash* over the sorted node hashes (u32 little-endian).
 func (b *Builder) Fingerprint() string {
-	n := len(b.preds)
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	n := b.n
+	s.group(b)
+
 	// Kahn topological order. The processing order among ready nodes is
 	// irrelevant: each node's hash depends only on its predecessors.
-	indeg := make([]int, n)
-	for to := range b.preds {
-		indeg[to] = len(b.preds[to])
-	}
-	queue := make([]int32, 0, n)
+	queue, order := s.queue[:0], s.order[:0]
 	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
+		if s.indeg[i] == 0 {
 			queue = append(queue, int32(i))
 		}
 	}
-	succs := make([][]int32, n)
-	for to := range b.preds {
-		for _, p := range b.preds[to] {
-			succs[p-1] = append(succs[p-1], int32(to))
-		}
-	}
-	order := make([]int32, 0, n)
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		order = append(order, i)
-		for _, t := range succs[i] {
-			indeg[t]--
-			if indeg[t] == 0 {
+		for _, t := range s.succs[s.succStart[i]:s.succStart[i+1]] {
+			s.indeg[t]--
+			if s.indeg[t] == 0 {
 				queue = append(queue, t)
 			}
 		}
@@ -121,116 +234,96 @@ func (b *Builder) Fingerprint() string {
 	if len(order) < n {
 		// Cycle: append the unprocessed nodes in index order so the
 		// result stays deterministic (contributions from unprocessed
-		// predecessors are simply absent).
-		inOrder := make([]bool, n)
-		for _, i := range order {
-			inOrder[i] = true
-		}
+		// predecessors are simply absent). Processed nodes are exactly
+		// those whose in-degree reached zero.
 		for i := 0; i < n; i++ {
-			if !inOrder[i] {
+			if s.indeg[i] != 0 {
 				order = append(order, int32(i))
 			}
 		}
 	}
+	s.queue, s.order = queue, order
 
-	var (
-		hashes = make([][]byte, n) // relevant nodes only
-		// nearest[i] is the identity set (sorted op indices) of i's
-		// nearest relevant ancestors: i itself when relevant, else the
-		// union over predecessors. Identity — not hash — so a diamond
-		// through one ancestor counts once while two distinct ancestors
-		// that happen to hash equally still count twice.
-		nearest = make([][]int32, n)
-		depth   = make([]int, n) // Foata layer: relevant ops on the longest path
-		final   [][]byte
-		h       = sha256.New()
-		num     [4]byte
-	)
-	writeNum := func(v int) {
-		binary.LittleEndian.PutUint32(num[:], uint32(v))
-		h.Write(num[:])
-	}
-	writeStr := func(s string) {
-		writeNum(len(s))
-		h.Write([]byte(s))
-	}
+	s.depth = sized(s.depth, n)
+	s.near = sized(s.near, n)
+	s.hashes = sized(s.hashes, n)
+	s.arena, s.final = s.arena[:0], s.final[:0]
+	msg := s.msg[:0]
 	for _, i := range order {
-		d := 0
-		anc := []int32{}
-		for _, p := range b.preds[i] {
-			pi := p - 1
-			if depth[pi] > d {
-				d = depth[pi]
-			}
-			anc = mergeUnique(anc, nearest[pi])
+		preds := s.preds[s.predStart[i]:s.predStart[i+1]]
+		d := int32(0)
+		for _, p := range preds {
+			d = max(d, s.depth[p])
 		}
-		if len(b.events[i]) == 0 {
-			nearest[i], depth[i] = anc, d
+		anc := s.gather(preds)
+		labels := s.labels[s.evStart[i]:s.evStart[i+1]]
+		if len(labels) == 0 {
+			// Irrelevant: transparent, it forwards its ancestors.
+			s.depth[i] = d
+			s.near[i] = s.push(anc...)
 			continue
 		}
 		d++
-		events := append([]string(nil), b.events[i]...)
-		sort.Strings(events)
-		contrib := make([][]byte, len(anc))
-		for k, a := range anc {
-			contrib[k] = hashes[a]
+		sort.Strings(labels)
+		s.sortByHash(anc)
+		msg = append(msg[:0], 'N')
+		msg = binary.LittleEndian.AppendUint32(msg, uint32(d))
+		msg = binary.LittleEndian.AppendUint32(msg, uint32(len(labels)))
+		for _, l := range labels {
+			msg = binary.LittleEndian.AppendUint32(msg, uint32(len(l)))
+			msg = append(msg, l...)
 		}
-		sort.Slice(contrib, func(x, y int) bool {
-			return string(contrib[x]) < string(contrib[y])
-		})
-		h.Reset()
-		h.Write([]byte{'N'})
-		writeNum(d)
-		writeNum(len(events))
-		for _, e := range events {
-			writeStr(e)
+		msg = binary.LittleEndian.AppendUint32(msg, uint32(len(anc)))
+		for _, a := range anc {
+			msg = append(msg, s.hashes[a][:]...)
 		}
-		writeNum(len(contrib))
-		for _, c := range contrib {
-			h.Write(c)
-		}
-		sum := h.Sum(nil)
-		hashes[i] = sum
-		nearest[i], depth[i] = []int32{i}, d
-		final = append(final, sum)
+		s.hashes[i] = sha256.Sum256(msg)
+		s.depth[i] = d
+		s.near[i] = s.push(i)
+		s.final = append(s.final, i)
 	}
-	sort.Slice(final, func(x, y int) bool {
-		return string(final[x]) < string(final[y])
-	})
-	h.Reset()
-	h.Write([]byte{'T'})
-	writeNum(len(final))
-	for _, s := range final {
-		h.Write(s)
+	s.sortByHash(s.final)
+	msg = append(msg[:0], 'T')
+	msg = binary.LittleEndian.AppendUint32(msg, uint32(len(s.final)))
+	for _, i := range s.final {
+		msg = append(msg, s.hashes[i][:]...)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	s.msg = msg
+	sum := sha256.Sum256(msg)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
-// mergeUnique merges two ascending unique int32 slices into a fresh
-// ascending unique slice.
-func mergeUnique(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
+// sortByHash sorts relevant nodes into ascending byte order of their
+// hashes. Equal hashes are interchangeable, so the order among them is
+// immaterial.
+func (s *scratch) sortByHash(nodes []int32) {
+	slices.SortFunc(nodes, func(x, y int32) int {
+		return bytes.Compare(s.hashes[x][:], s.hashes[y][:])
+	})
+}
+
+// gather returns, in s.anc, the sorted and duplicate-free union of the
+// nearest relevant ancestor sets of preds: one sort per node, where
+// merging the sets pairwise would cost O(d²) for in-degree d.
+func (s *scratch) gather(preds []int32) []int32 {
+	anc := s.anc[:0]
+	for _, p := range preds {
+		r := s.near[p]
+		anc = append(anc, s.arena[r[0]:r[1]]...)
 	}
-	if len(a) == 0 {
-		return append([]int32(nil), b...)
+	if len(preds) > 1 {
+		slices.Sort(anc)
+		anc = slices.Compact(anc)
 	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	s.anc = anc
+	return anc
+}
+
+// push appends a nearest-ancestor set to the arena and returns its range.
+func (s *scratch) push(set ...int32) [2]int32 {
+	start := int32(len(s.arena))
+	s.arena = append(s.arena, set...)
+	return [2]int32{start, int32(len(s.arena))}
 }

@@ -36,6 +36,13 @@ type sessionAccess struct {
 // session document under an optional relabeling permutation (perm[i-1]
 // is the new ID of op i; nil means identity).
 func builderFromSession(doc sessionDoc, perm []int) *Builder {
+	b := New(len(doc.Ops))
+	feedSession(b, doc, perm)
+	return b
+}
+
+// feedSession declares doc's edges and events on b, under perm.
+func feedSession(b builder, doc sessionDoc, perm []int) {
 	n := len(doc.Ops)
 	id := func(raw int32) int {
 		i := int(raw)
@@ -44,7 +51,6 @@ func builderFromSession(doc sessionDoc, perm []int) *Builder {
 		}
 		return perm[i-1]
 	}
-	b := New(n)
 	for _, e := range doc.Edges {
 		b.Edge(id(e[0]), id(e[1]))
 	}
@@ -66,7 +72,6 @@ func builderFromSession(doc sessionDoc, perm []int) *Builder {
 			access(r.Current)
 		}
 	}
-	return b
 }
 
 // isDAG reports whether the edge list (after the same filtering Edge
@@ -105,7 +110,8 @@ func isDAG(n int, edges [][2]int32) bool {
 
 // FuzzCanonicalFingerprint fuzzes the fingerprint's core contract on
 // arbitrary session-shaped inputs: computing it is total (no panics, no
-// hangs, even on cyclic or malformed edge lists), deterministic, and
+// hangs, even on cyclic or malformed edge lists), deterministic, equal
+// byte for byte to the original Builder's (oracle_test.go), and
 // invariant under relabeling the operations of the same partial order.
 // The seed corpus is the repo's exported golden sessions
 // (testdata/golden/*.json), so real HB graphs anchor the search.
@@ -128,6 +134,11 @@ func FuzzCanonicalFingerprint(f *testing.F) {
 		fp := builderFromSession(doc, nil).Fingerprint()
 		if again := builderFromSession(doc, nil).Fingerprint(); again != fp {
 			t.Fatalf("rebuild drifted: %s vs %s", fp, again)
+		}
+		o := newOracle(len(doc.Ops))
+		feedSession(o, doc, nil)
+		if want := o.Fingerprint(); fp != want {
+			t.Fatalf("fingerprint %s, oracle %s", fp, want)
 		}
 		// Relabeling invariance is a DAG property: on cyclic garbage the
 		// fingerprint is only promised to be deterministic, not canonical.

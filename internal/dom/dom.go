@@ -9,6 +9,7 @@ package dom
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -212,12 +213,12 @@ func (n *Node) String() string {
 		if len(t) > 20 {
 			t = t[:20] + "…"
 		}
-		return fmt.Sprintf("#text(%q)", t)
+		return "#text(" + strconv.Quote(t) + ")"
 	}
 	if id := n.ID(); id != "" {
-		return fmt.Sprintf("<%s id=%q>", n.Tag, id)
+		return "<" + n.Tag + " id=" + strconv.Quote(id) + ">"
 	}
-	return fmt.Sprintf("<%s #%d>", n.Tag, n.Serial)
+	return "<" + n.Tag + " #" + strconv.FormatUint(n.Serial, 10) + ">"
 }
 
 // IsFormField reports whether the node is a form field whose value/checked

@@ -23,7 +23,10 @@
 //     dispatching e on el with handler h reads it.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind discriminates the three logical location classes.
 type Kind uint8
@@ -91,16 +94,17 @@ func (l Loc) String() string {
 	switch l.Kind {
 	case Var:
 		if l.Obj == 0 {
-			return fmt.Sprintf("var %s", l.Name)
+			return "var " + l.Name
 		}
-		return fmt.Sprintf("var obj%d.%s", l.Obj, l.Name)
+		return "var obj" + strconv.FormatUint(l.Obj, 10) + "." + l.Name
 	case Elem:
 		if l.Name != "" {
-			return fmt.Sprintf("elem #%s", l.Name)
+			return "elem #" + l.Name
 		}
-		return fmt.Sprintf("elem node%d", l.Obj)
+		return "elem node" + strconv.FormatUint(l.Obj, 10)
 	case Handler:
-		return fmt.Sprintf("handler (#%d, %s, h%d)", l.Obj, l.Name, l.Extra)
+		return "handler (#" + strconv.FormatUint(l.Obj, 10) + ", " + l.Name +
+			", h" + strconv.FormatUint(l.Extra, 10) + ")"
 	default:
 		return fmt.Sprintf("loc(%v)", l.Kind)
 	}

@@ -3,7 +3,6 @@ package webracer
 import (
 	"errors"
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -103,7 +102,7 @@ func fingerprintOf(res *Result) string {
 	trace := b.Trace()
 	nOps := b.Ops.Len()
 	cb := canon.New(nOps + len(trace))
-	node := func(traceIdx int) int { return nOps + 1 + traceIdx }
+	node := func(traceIdx int32) int { return nOps + 1 + int(traceIdx) }
 	for id := 1; id <= nOps; id++ {
 		o := b.Ops.Get(op.ID(id))
 		switch o.Kind {
@@ -111,13 +110,12 @@ func fingerprintOf(res *Result) string {
 			cb.Event(id, "op "+o.Kind.String()+" "+canonName(o.Label))
 		}
 	}
-	byLoc := map[string][]int{}
-	for idx, a := range trace {
-		key := a.Loc.String()
-		byLoc[key] = append(byLoc[key], idx)
-	}
+	streams := groupByLoc(trace)
 	g := b.HB
-	for _, stream := range byLoc {
+	var labels []accessLabel
+	for _, st := range streams.groups {
+		stream := streams.idx[st.start:st.end]
+		labels = labels[:0]
 		lastW := -1
 		for j, idx := range stream {
 			if trace[idx].Kind == mem.Write {
@@ -125,13 +123,13 @@ func fingerprintOf(res *Result) string {
 			}
 		}
 		for j, idx := range stream {
-			a := trace[idx]
-			cb.Event(node(idx), accessLabel(a))
+			a := &trace[idx]
+			cb.Event(node(idx), labelFor(&labels, a, st.key))
 			if lastW < 0 {
 				continue // never written: a free multiset of reads
 			}
 			for k := 0; k < j; k++ {
-				p := trace[stream[k]]
+				p := &trace[stream[k]]
 				if a.Kind != mem.Write && p.Kind != mem.Write {
 					continue
 				}
@@ -147,35 +145,161 @@ func fingerprintOf(res *Result) string {
 	return cb.Fingerprint()
 }
 
-// accessLabel is the fingerprint event label of one trace access: kind,
-// location and context — the fields the detectors and §5.3 filters
-// consult — without the free-form Desc (values don't affect which races
-// exist) and without the performing operation (callback identity varies
-// benignly across schedules).
-func accessLabel(a race.Access) string {
-	return a.Kind.String() + " " + canonName(a.Loc.String()) + " [" + a.Ctx.String() + "]"
+// locStreams is a trace grouped by location key: idx[g.start:g.end] are
+// the trace indices of group g's accesses, in trace order.
+type locStreams struct {
+	groups []locGroup
+	idx    []int32
 }
 
-// domSerial matches the DOM-node serials embedded in element and handler
-// location names and in dispatch labels — "#74" in handler and dispatch
-// labels, "node74" in element locations, "obj74" in the property
-// locations of wrapped DOM nodes. Serials renumber with parse/execution
-// order, so two isomorphic runs would never share a class if labels kept
-// them; normalization merges those classes and leans on canon's
-// structural hash to keep genuinely distinct locations apart (their
-// access streams differ). Property names, element ids and script names
-// ("stat0", "dd0", "dda0.js") keep their digits: they are source-stable
-// and distinguish locations whose streams may coincide.
-var domSerial = regexp.MustCompile(`#[0-9]+|\b(?:obj|node)[0-9]+\b`)
+type locGroup struct {
+	key        string
+	start, end int32
+}
 
-// canonName strips schedule-dependent DOM serials from a label.
-func canonName(s string) string {
-	return domSerial.ReplaceAllStringFunc(s, func(m string) string {
-		if m[0] == '#' {
-			return "#?"
+// groupByLoc groups trace by Loc.String, computing each distinct
+// location's key once. The key, not the Loc, is the group: Loc.String is
+// not injective (a global named "obj3.x" prints as property x of object
+// 3 does), and the fingerprint's encoding is defined over the key.
+// Groups are in order of first access.
+func groupByLoc(trace []race.Access) locStreams {
+	byLoc := map[mem.Loc]int32{}
+	byKey := map[string]int32{}
+	var s locStreams
+	of := make([]int32, len(trace))
+	for i := range trace {
+		gi, ok := byLoc[trace[i].Loc]
+		if !ok {
+			key := trace[i].Loc.String()
+			if gi, ok = byKey[key]; !ok {
+				gi = int32(len(s.groups))
+				byKey[key] = gi
+				s.groups = append(s.groups, locGroup{key: key})
+			}
+			byLoc[trace[i].Loc] = gi
 		}
-		return strings.TrimRight(m, "0123456789") + "?"
-	})
+		of[i] = gi
+		s.groups[gi].end++
+	}
+	var off int32
+	for g := range s.groups {
+		n := s.groups[g].end
+		s.groups[g].start, s.groups[g].end = off, off
+		off += n
+	}
+	s.idx = make([]int32, len(trace))
+	for i, gi := range of {
+		g := &s.groups[gi]
+		s.idx[g.end] = int32(i)
+		g.end++
+	}
+	return s
+}
+
+// accessLabel memoizes one fingerprint event label of a location group:
+// kind, location and context — the fields the detectors and §5.3
+// filters consult — without the free-form Desc (values don't affect
+// which races exist) and without the performing operation (callback
+// identity varies benignly across schedules).
+type accessLabel struct {
+	kind  mem.AccessKind
+	ctx   mem.Context
+	label string
+}
+
+// labelFor returns a's event label, given its location key, from the
+// group's memo (a handful of entries: one per kind and context seen at
+// the location).
+func labelFor(memo *[]accessLabel, a *race.Access, key string) string {
+	for _, m := range *memo {
+		if m.kind == a.Kind && m.ctx == a.Ctx {
+			return m.label
+		}
+	}
+	var buf [128]byte
+	l := append(buf[:0], a.Kind.String()...)
+	l = append(l, ' ')
+	l = appendCanonName(l, key)
+	l = append(l, " ["...)
+	l = append(l, a.Ctx.String()...)
+	l = append(l, ']')
+	*memo = append(*memo, accessLabel{a.Kind, a.Ctx, string(l)})
+	return (*memo)[len(*memo)-1].label
+}
+
+// canonName strips schedule-dependent DOM serials from a label: it
+// rewrites every leftmost non-overlapping match of
+// `#[0-9]+|\b(?:obj|node)[0-9]+\b` (ASCII word boundaries), "#74" to
+// "#?" and "obj74"/"node74" to "obj?"/"node?". Serials appear as "#74"
+// in handler and dispatch labels, "node74" in element locations and
+// "obj74" in the property locations of wrapped DOM nodes. They renumber
+// with parse/execution order, so two isomorphic runs would never share a
+// class if labels kept them; normalization merges those classes and
+// leans on canon's structural hash to keep genuinely distinct locations
+// apart (their access streams differ). Property names, element ids and
+// script names ("stat0", "dd0", "dda0.js") keep their digits: they are
+// source-stable and distinguish locations whose streams may coincide.
+//
+// A label without a serial is returned as is, without allocating.
+func canonName(s string) string {
+	for i := range len(s) {
+		if end, _ := serialAt(s, i); end >= 0 {
+			return string(appendCanonName(make([]byte, 0, len(s)), s))
+		}
+	}
+	return s
+}
+
+// appendCanonName appends canonName(s) to dst.
+func appendCanonName(dst []byte, s string) []byte {
+	last := 0 // s[last:] is not yet copied to dst
+	for i := 0; i < len(s); {
+		end, keep := serialAt(s, i)
+		if end < 0 {
+			i++
+			continue
+		}
+		dst = append(dst, s[last:i+keep]...)
+		dst = append(dst, '?')
+		i, last = end, end
+	}
+	return append(dst, s[last:]...)
+}
+
+// serialAt reports whether a DOM serial starts at s[i]: it returns the
+// end of the match and the length of its kept prefix ("#", "obj",
+// "node"), or -1 when none starts there.
+func serialAt(s string, i int) (end, keep int) {
+	switch {
+	case s[i] == '#':
+		keep = 1
+	case i > 0 && isWordByte(s[i-1]):
+		return -1, 0 // "obj"/"node" must start at a word boundary
+	case strings.HasPrefix(s[i:], "obj"):
+		keep = 3
+	case strings.HasPrefix(s[i:], "node"):
+		keep = 4
+	default:
+		return -1, 0
+	}
+	end = i + keep
+	for end < len(s) && '0' <= s[end] && s[end] <= '9' {
+		end++
+	}
+	if end == i+keep {
+		return -1, 0
+	}
+	if keep > 1 && end < len(s) && isWordByte(s[end]) {
+		return -1, 0 // digits run into a word: no boundary after them
+	}
+	return end, keep
+}
+
+// isWordByte is \w in ASCII: [0-9A-Za-z_]. Bytes of multi-byte UTF-8
+// sequences are all ≥ 0x80, so they are never word bytes, as \b treats
+// every non-ASCII rune.
+func isWordByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // replayDetector builds the detector a class representative's trace is
@@ -231,22 +355,37 @@ func analyzeClass(cfg Config, res *Result) {
 // is ordered (unordered pairs are already races — there is nothing left
 // to flip). Keys are location plus the two operation labels, so a
 // perturbation can be matched to the pairs its delayed URL could flip.
+// Only the delay-one sweep reads the index.
 func notePairs(cs *explore.ClassSet, res *Result) {
+	type access struct {
+		loc  string
+		op   op.ID
+		kind mem.AccessKind
+	}
+	locKeys := map[mem.Loc]string{}
 	byLoc := map[string][]race.Access{}
-	seen := map[string]bool{}
+	seen := map[access]bool{}
 	for _, a := range res.Browser.Trace() {
-		key := a.Loc.String()
-		dedup := key + "|" + fmt.Sprint(a.Op) + "|" + a.Kind.String()
-		if seen[dedup] {
-			continue
+		key, ok := locKeys[a.Loc]
+		if !ok {
+			key = a.Loc.String()
+			locKeys[a.Loc] = key
 		}
-		seen[dedup] = true
-		byLoc[key] = append(byLoc[key], a)
+		if k := (access{key, a.Op, a.Kind}); !seen[k] {
+			seen[k] = true
+			byLoc[key] = append(byLoc[key], a)
+		}
 	}
 	g := res.Browser.HB
+	labels := map[op.ID]string{}
 	label := func(id op.ID) string {
-		o := res.Browser.Ops.Get(id)
-		return o.Kind.String() + " " + o.Label
+		l, ok := labels[id]
+		if !ok {
+			o := res.Browser.Ops.Get(id)
+			l = o.Kind.String() + " " + o.Label
+			labels[id] = l
+		}
+		return l
 	}
 	for locKey, accs := range byLoc {
 		for i := 0; i < len(accs); i++ {
@@ -283,7 +422,8 @@ func notePairs(cs *explore.ClassSet, res *Result) {
 // Because HB-equivalent executions report exactly the same races, the
 // folded SeedSweep is byte-identical to the unpruned sweep's at any
 // worker count (the differential battery pins this on the sched, fault
-// and stress corpora).
+// and stress corpora). A seed sweep does no steering, so it builds no
+// pair index (notePairs).
 func runSeedsPruned(site *loader.Site, cfg Config, n int, p ParallelConfig) (*SeedSweep, error) {
 	if err := prunable(cfg); err != nil {
 		return nil, err
@@ -322,7 +462,6 @@ func runSeedsPruned(site *loader.Site, cfg Config, n int, p ParallelConfig) (*Se
 				}
 				if cr.res.Interrupted == "" {
 					classes[cr.fp] = ci
-					notePairs(cs, cr.res)
 				}
 			}
 			sweep.PerSeed = append(sweep.PerSeed, ci.count)
