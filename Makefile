@@ -11,8 +11,10 @@ all: build vet test obs docs linkcheck cluster loadtest prune
 build:
 	go build ./...
 
+# gofmt gate: any unformatted file fails vet (and so test and all).
 vet:
 	go vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 # -race: the detector hunts web races while racing its own sharded
 # sweeps; the engine must be race-clean under the Go race detector.

@@ -523,6 +523,7 @@ func BenchmarkTimerClearExtension(b *testing.B) {
 func BenchmarkSeedSweep(b *testing.B) {
 	site := sitegen.Generate(sitegen.SpecFor(1, 40))
 	stable, flaky := 0, 0
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sweep := RunSeeds(site, DefaultConfig(1), 5)
 		s, f := sweep.Stable()
@@ -597,6 +598,7 @@ func BenchmarkScheduleSweepParallel(b *testing.B) {
 	t0 := time.Now()
 	serial := ExploreSchedules(site, cfg)
 	serialTime := time.Since(t0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	runs := 0
 	for i := 0; i < b.N; i++ {
@@ -624,6 +626,26 @@ func BenchmarkSeedSweepParallel(b *testing.B) {
 		if _, err := RunSeedsParallel(site, cfg, 8,
 			ParallelConfig{Workers: parallelBenchWorkers}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFaultSweep runs the default six-plan fault sweep of the 8
+// fault pages on one worker per op.
+func BenchmarkFaultSweep(b *testing.B) {
+	sites := make([]*loader.Site, 8)
+	for i := range sites {
+		sites[i] = sitegen.Generate(sitegen.FaultSpec(i))
+	}
+	cfg := DefaultConfig(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, site := range sites {
+			if _, err := RunFaultSweep(site, cfg, FaultSweepConfig{},
+				ParallelConfig{Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

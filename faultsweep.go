@@ -87,6 +87,7 @@ func (fc FaultSweepConfig) plans() int {
 // is listed in Degraded, and the sweep itself still completes without
 // error in both cases.
 func RunFaultSweep(site *loader.Site, cfg Config, fc FaultSweepConfig, p ParallelConfig) (*FaultSweep, error) {
+	cfg = withParseMemo(cfg)
 	n := fc.plans()
 	planFor := fc.PlanFor
 	if planFor == nil {

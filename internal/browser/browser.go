@@ -20,6 +20,7 @@ import (
 
 	"webracer/internal/dom"
 	"webracer/internal/hb"
+	"webracer/internal/js"
 	"webracer/internal/loader"
 	"webracer/internal/mem"
 	"webracer/internal/obs"
@@ -101,6 +102,11 @@ type Config struct {
 	// span, fetches/timers/XHRs become async spans, fault injections
 	// become instant events.
 	Trace *obs.TraceLog
+	// Programs, when non-nil, is the parse memo every window's
+	// interpreter (iframes included) parses scripts and handler source
+	// through. A sweep shares one memo across its runs so each script is
+	// parsed once per sweep; nil parses every source afresh.
+	Programs *js.Programs
 }
 
 func (c Config) withDefaults() Config {

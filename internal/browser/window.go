@@ -129,6 +129,7 @@ func (b *Browser) newWindow(url string, parent *Window, frameElem *dom.Node) *Wi
 		hooks = nil // interpreter fast path: no access callbacks at all
 	}
 	w.It = js.New(b.Serials, hooks)
+	w.It.Programs = b.cfg.Programs
 	if parent != nil && b.cfg.SharedFrameGlobals {
 		// Frame globals share the top window's logical location space,
 		// reproducing the paper's Fig. 1 variable race between frames.

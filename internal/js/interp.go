@@ -60,6 +60,9 @@ type Interp struct {
 	Rand func() float64
 	// Now supplies Date.now in milliseconds (virtual time).
 	Now func() float64
+	// Programs, when non-nil, is the parse memo Run and CompileFunction
+	// parse through (see Programs); nil parses every source afresh.
+	Programs *Programs
 
 	global  *Env
 	serials Serials
@@ -157,7 +160,7 @@ func (it *Interp) CompileFunction(src string, params ...string) (Value, error) {
 	b = append(b, "){"...)
 	b = append(b, src...)
 	b = append(b, '}')
-	prog, err := Parse(string(b))
+	prog, err := it.Programs.Parse(string(b))
 	if err != nil {
 		return Undefined, err
 	}
@@ -173,7 +176,7 @@ func (it *Interp) CompileFunction(src string, params ...string) (Value, error) {
 // Run parses and executes a script at top level. desc labels the script in
 // access descriptions.
 func (it *Interp) Run(src, desc string) error {
-	prog, err := Parse(src)
+	prog, err := it.Programs.Parse(src)
 	if err != nil {
 		return err
 	}

@@ -42,6 +42,7 @@ import (
 
 	"webracer"
 	"webracer/internal/fault"
+	"webracer/internal/js"
 	"webracer/internal/obs"
 	"webracer/internal/pool"
 	"webracer/internal/report"
@@ -590,9 +591,13 @@ func (s *Server) executeSweep(r *resolved) ([]byte, bool, error) {
 		resp.NewlyExposed = sweep.NewlyExposed
 		finishPrunedSweep(s, &resp, stats, &cacheable)
 	case r.mode == "seeds":
+		// One parse memo per request, shared by the request's runs, as
+		// webracer's own sweep drivers do.
+		cfg := r.cfg
+		cfg.Browser.Programs = js.NewPrograms()
 		results, err := pool.Map(pool.Options{Workers: s.cfg.SweepWorkers}, r.seeds,
 			func(i int) *webracer.Result {
-				c := r.cfg
+				c := cfg
 				c.Seed = r.cfg.Seed + int64(i)*7919
 				return webracer.RunConfig(r.site, c)
 			})

@@ -146,7 +146,7 @@ func TestCrashRecoveryBattery(t *testing.T) {
 		t.Fatalf("quarantine dir: %d files, err %v, want %d", len(qents), err, len(damage))
 	}
 	// Temp droppings are gone.
-	if _, err := os.Stat(filepath.Join(dir, tmpPrefix + "crash")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, tmpPrefix+"crash")); !os.IsNotExist(err) {
 		t.Fatalf("temp dropping survived recovery: %v", err)
 	}
 	// A damaged key is writable again and round-trips.

@@ -3,6 +3,7 @@ package webracer
 import (
 	"context"
 
+	"webracer/internal/js"
 	"webracer/internal/loader"
 	"webracer/internal/pool"
 )
@@ -11,7 +12,9 @@ import (
 // (site, seed) simulation — is a self-contained deterministic
 // computation: each Run builds its own browser, loader, interpreter and
 // seeded RNGs and never touches package-level mutable state, so sweeps
-// shard over workers without changing any result. The engine guarantees
+// shard over workers without changing any result. The units of one sweep
+// share only its parse memo (see withParseMemo), whose ASTs are
+// read-only. The engine guarantees
 // results are aggregated in input order regardless of completion order;
 // a sweep at Workers == 8 is byte-for-byte identical to Workers == 1
 // (parallel_test.go proves this on exported sessions).
@@ -54,6 +57,18 @@ func (p ParallelConfig) opts() pool.Options {
 	return pool.Options{Workers: p.Workers, Ctx: p.Ctx, Counters: p.Progress}
 }
 
+// withParseMemo gives cfg a parse memo (see js.Programs) unless it already
+// carries one. Every multi-run driver calls it at entry, so all runs of
+// one sweep, on every worker, parse each distinct script once; a nested
+// driver (MeasureRecovery's seed sweep, say) keeps the outer sweep's memo.
+// The memo is dropped with the sweep's Config, never kept across sweeps.
+func withParseMemo(cfg Config) Config {
+	if cfg.Browser.Programs == nil {
+		cfg.Browser.Programs = js.NewPrograms()
+	}
+	return cfg
+}
+
 // RunCorpusParallel is RunCorpus sharded over p.Workers: site i still runs
 // with seed cfg.Seed + i*101 and results land at their input index, so
 // the output equals the serial RunCorpus exactly. gen must be safe for
@@ -74,6 +89,7 @@ func RunCorpusParallel(n int, gen func(i int) *loader.Site, cfg Config, p Parall
 // detector pass (see ParallelConfig.Prune) and the aggregate is still
 // byte-identical.
 func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*SeedSweep, error) {
+	cfg = withParseMemo(cfg)
 	if p.Prune {
 		return runSeedsPruned(site, cfg, n, p)
 	}
@@ -108,6 +124,7 @@ func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*
 // detector pass and the fold counts which perturbations steering would
 // prioritize (see ParallelConfig.Prune).
 func ExploreSchedulesParallel(site *loader.Site, cfg Config, p ParallelConfig) (*ScheduleSweep, error) {
+	cfg = withParseMemo(cfg)
 	if p.Prune {
 		return exploreSchedulesPruned(site, cfg, p)
 	}
@@ -174,6 +191,7 @@ func slowOne(lat loader.Latency, url string) loader.Latency {
 // first-evidence-wins semantics (and therefore Harmful, Counts and
 // Evidence) match the serial oracle exactly.
 func ClassifyHarmfulParallel(site *loader.Site, cfg Config, res *Result, p ParallelConfig) (*Harm, error) {
+	cfg = withParseMemo(cfg)
 	runs := cfg.HarmRuns
 	if runs <= 0 {
 		runs = 1

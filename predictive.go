@@ -56,14 +56,19 @@ func (r *Recovery) Recall() float64 {
 // folds both into a Recovery. The sweep shards over p.Workers; the result
 // is identical at any worker count.
 func MeasureRecovery(site *loader.Site, cfg Config, seeds int, p ParallelConfig) (*Recovery, error) {
+	cfg = withParseMemo(cfg)
 	sweep, err := RunSeedsParallel(site, cfg, seeds, p)
 	if err != nil {
 		return nil, err
 	}
 	pcfg := cfg
 	pcfg.Detector = DetectorPredictive
-	res := RunConfig(site, pcfg)
+	return recoveryOf(site, seeds, sweep, RunConfig(site, pcfg)), nil
+}
 
+// recoveryOf folds a seeds-run ground-truth sweep and one predictive
+// run into a Recovery.
+func recoveryOf(site *loader.Site, seeds int, sweep *SeedSweep, res *Result) *Recovery {
 	rec := &Recovery{Site: site.Name, Seeds: seeds}
 	for loc, hits := range sweep.Locations {
 		rec.SweepLocations = append(rec.SweepLocations, loc)
@@ -101,5 +106,5 @@ func MeasureRecovery(site *loader.Site, cfg Config, seeds int, p ParallelConfig)
 	rec.RecallNum, rec.RecallDen = len(rec.Recovered), len(rec.SweepLocations)
 	st := res.Predictive.Stats
 	rec.Predicted, rec.Confirmed, rec.WitnessEvents = st.Predicted, st.Confirmed, st.WitnessEvents
-	return rec, nil
+	return rec
 }

@@ -519,7 +519,7 @@ func exploreSchedulesPruned(site *loader.Site, cfg Config, p ParallelConfig) (*S
 			// before this unit: would this perturbation's URL flip a
 			// pair ordered only one way so far?
 			if i > 0 && cs.OneWay(func(key string) bool {
-				return strings.Contains(key, urls[i-1])
+				return containsURL(key, urls[i-1])
 			}) {
 				cs.NoteSteered()
 			}
@@ -549,6 +549,36 @@ func exploreSchedulesPruned(site *loader.Site, cfg Config, p ParallelConfig) (*S
 		*p.Classes = cs.Stats()
 	}
 	return sweep, err
+}
+
+// containsURL reports whether url occurs in the pair key as a whole
+// token: bounded on each side by the key's end, a space, '|', a quote or
+// a parenthesis. A plain substring test would let a.js match data.js.
+func containsURL(key, url string) bool {
+	if url == "" {
+		return false
+	}
+	for i := 0; ; {
+		j := strings.Index(key[i:], url)
+		if j < 0 {
+			return false
+		}
+		j += i
+		end := j + len(url)
+		if (j == 0 || urlBoundary(key[j-1])) && (end == len(key) || urlBoundary(key[end])) {
+			return true
+		}
+		i = j + 1
+	}
+}
+
+// urlBoundary reports whether c may delimit a URL inside a pair key.
+func urlBoundary(c byte) bool {
+	switch c {
+	case ' ', '|', '"', '\'', '(', ')':
+		return true
+	}
+	return false
 }
 
 // resourceURLs returns the site's resource URLs in the sweep's canonical

@@ -266,3 +266,49 @@ func TestPruneFiltersIdentical(t *testing.T) {
 		t.Errorf("filtered pruned sweep differs:\npruned:   %s\nunpruned: %s", got, want)
 	}
 }
+
+// TestPruneSteeringWholeURL: delay-one steering matches a perturbed URL
+// only as a whole token of a pair key. On a page with both a.js and
+// data.js, where only data.js takes part in a conflicting pair, slowing
+// a.js must not count as steering toward data.js's pair.
+func TestPruneSteeringWholeURL(t *testing.T) {
+	site := loader.NewSite("whole-url").
+		Add("index.html", `<script src="a.js"></script><script src="data.js"></script>
+<script>d = d + 1;</script>`).
+		Add("a.js", `var quiet = 1;`).
+		Add("data.js", `var d = 1;`)
+	for _, workers := range []int{1, 4} {
+		var stats ClassStats
+		if _, err := ExploreSchedulesParallel(site, DefaultConfig(1),
+			ParallelConfig{Workers: workers, Prune: true, Classes: &stats}); err != nil {
+			t.Fatal(err)
+		}
+		// Only slowing data.js can flip data.js's pair; a substring match
+		// would count a.js as well.
+		if stats.Steered != 1 {
+			t.Errorf("workers=%d: steered = %d, want 1 (data.js only)", workers, stats.Steered)
+		}
+	}
+}
+
+// TestContainsURL pins the token boundaries of the steering match.
+func TestContainsURL(t *testing.T) {
+	for _, tc := range []struct {
+		key, url string
+		want     bool
+	}{
+		{"var d|script exe data.js|script exe inline script", "data.js", true},
+		{"var d|script exe data.js|script exe inline script", "a.js", false},
+		{"var d|script exe a.js", "a.js", true},
+		{"a.js|x", "a.js", true},
+		{`elem #x|parse <script id="a.js">|y`, "a.js", true},
+		{"var d|network xhr load (a.js)", "a.js", true},
+		{"var d|network xhr load a.jsx", "a.js", false},
+		{"var d|data.js a.js", "a.js", true},
+		{"var d|x", "", false},
+	} {
+		if got := containsURL(tc.key, tc.url); got != tc.want {
+			t.Errorf("containsURL(%q, %q) = %v, want %v", tc.key, tc.url, got, tc.want)
+		}
+	}
+}

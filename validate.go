@@ -65,6 +65,7 @@ func keyOf(a race.Access) accessKey {
 // which order the report's two accesses occur. cfg should be the
 // configuration that produced the report.
 func ValidateRace(site *loader.Site, cfg Config, r race.Report, runs int) *Validation {
+	cfg = withParseMemo(cfg)
 	v := &Validation{Runs: runs}
 	k1, k2 := keyOf(r.Prior), keyOf(r.Current)
 	for i := 0; i < runs; i++ {

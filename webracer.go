@@ -332,7 +332,8 @@ func Run(site *loader.Site, opts ...Option) *Result {
 		panic(err)
 	}
 	if cfg.Detector == DetectorSampled && cfg.Browser.Detector == nil {
-		return runSampled(site, cfg)
+		// The escalation re-run parses the same scripts as the cheap pass.
+		return runSampled(site, withParseMemo(cfg))
 	}
 	return runOnce(site, cfg)
 }
