@@ -106,13 +106,16 @@ loadtest:
 linkcheck:
 	go run ./scripts/checklinks
 
-# The detector/replay benchmarks (the E4 speedup battery plus the E11
-# sampled-tier arms), repeated BENCH_COUNT times so scripts/benchcmp.sh
-# can bound the noise. The -json stream is rendered back to the usual
-# text on stdout while scripts/benchjson.sh distills it into
-# machine-readable BENCH_pr7.json.
+# Where `make bench` writes its machine-readable summary.
+BENCH_OUT ?= BENCH_pr7.json
+
+# The detector/replay benchmarks (the E4 speedup battery, the E11
+# sampled-tier arms and the per-run floor), repeated BENCH_COUNT times so
+# scripts/benchcmp.sh can bound the noise. The -json stream is rendered
+# back to the usual text on stdout while scripts/benchjson.sh distills it
+# into machine-readable $(BENCH_OUT).
 bench:
-	go test -run '^$$' -bench 'Detector|ReplayVC' -benchmem -count $(BENCH_COUNT) -json . | ./scripts/benchjson.sh BENCH_pr7.json
+	go test -run '^$$' -bench 'Detector|ReplayVC' -benchmem -count $(BENCH_COUNT) -json . | ./scripts/benchjson.sh $(BENCH_OUT)
 
 # Every benchmark in the repo, single pass.
 bench-all:

@@ -294,6 +294,29 @@ func BenchmarkDetectorSampledFullRate(b *testing.B) {
 	b.ReportMetric(float64(hits), "hits")
 }
 
+// BenchmarkDetectorRunFloor measures one default-configuration Run with
+// allocations reported, on a near-empty page, where the per-run fixed
+// costs (detector tables, browser set-up) are all there is, and on one
+// corpus page.
+func BenchmarkDetectorRunFloor(b *testing.B) {
+	pages := []struct {
+		name string
+		site *loader.Site
+	}{
+		{"empty", loader.NewSite("empty").Add("index.html", "<html><body></body></html>")},
+		{"corpus", corpusGen(1)(0)},
+	}
+	for _, p := range pages {
+		b.Run(p.name, func(b *testing.B) {
+			cfg := DefaultConfig(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RunConfig(p.site, cfg)
+			}
+		})
+	}
+}
+
 // BenchmarkReplayVC measures the public ReplayVC entry point and reports
 // its speedup over the pre-epoch dense path on the same recorded traces
 // (the ISSUE's ≥2x acceptance criterion). Race counts of the two arms are

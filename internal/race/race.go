@@ -32,7 +32,9 @@
 package race
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"webracer/internal/hb"
 	"webracer/internal/mem"
@@ -105,9 +107,11 @@ func OnePerLoc() Option { return func(o *options) { o.onePerLoc = true } }
 // it (the E4 ablation isolates what the fast path buys).
 func WithoutEpochs() Option { return func(o *options) { o.noEpochs = true } }
 
-// LocHint pre-sizes Pairwise's per-location tables for roughly n distinct
-// locations, sparing large replays the incremental rehash churn. It is
-// purely a capacity hint: any value (including zero) is correct.
+// LocHint presizes a detector's shadow table for roughly n distinct
+// locations: its first chunk of words and its index start at that size,
+// sparing large replays the growth steps. Without a hint the table starts
+// at a few dozen locations and grows with the run. It is purely a capacity
+// hint: any value (including zero) is correct.
 func LocHint(n int) Option { return func(o *options) { o.locHint = n } }
 
 func buildOptions(opts []Option) options {
@@ -140,33 +144,38 @@ type PairwiseStats struct {
 	Demotions int
 }
 
-// pairState is Pairwise's constant per-location state: the paper's
+// pairWord is Pairwise's constant per-location state: the paper's
 // LastRead/LastWrite pair rewritten as epochs. writeEp/readEp cache the
 // chain@pos coordinates of the remembered accesses so the hot path
 // compares integers without calling back into the oracle; gen guards the
-// cached coordinates against late-edge invalidation. certs caches
-// ordering certificates for the current write: an entry (chain → pos)
+// cached coordinates against late-edge invalidation. The certificates
+// cache ordering conclusions for the current write: an entry chain@pos
 // means the write happens before the operation that sat at chain@pos —
 // and therefore before anything later on that chain. The certificate side
 // is adaptive in the FastTrack sense: a location read from one chain
 // carries at most a single certificate inline (cert); reads from a second
-// chain promote it to the certs map (read-shared); the next write demotes
-// the location back to the inline form, since certificates describe only
-// the write they were minted against.
-type pairState struct {
-	write    Access
-	read     Access
-	hasWrite bool
-	hasRead  bool
-	reported bool
-
-	gen     uint32
+// chain promote it to certs, kept sorted by chain (read-shared); the next
+// write demotes the location back to the inline form, since certificates
+// describe only the write they were minted against.
+type pairWord struct {
+	write   rec
+	read    rec
 	writeEp hb.Epoch
 	readEp  hb.Epoch
 	cert    hb.Epoch
-	hasCert bool
-	certs   map[int32]int32
+	certs   []hb.Epoch
+	gen     uint32
+	flags   uint8
 }
+
+// pairWord.flags bits.
+const (
+	pwHasWrite uint8 = 1 << iota
+	pwHasRead
+	pwReported
+	pwHasCert // cert holds the inline certificate
+	pwShared  // certs holds the promoted certificates
+)
 
 // Pairwise is the detector of §5.1: for each location it remembers only the
 // most recent read and the most recent write, and reports a race when the
@@ -176,9 +185,7 @@ type pairState struct {
 type Pairwise struct {
 	oracle    hb.Oracle
 	epochs    hb.EpochOracle // non-nil when the epoch fast path is active
-	state     map[mem.Loc]*pairState
-	slab      []pairState // block-allocated states: stable pointers, no per-loc box
-	block     int         // slab block capacity
+	shadow    locTable[pairWord]
 	reports   []Report
 	reportAll bool
 	stats     PairwiseStats
@@ -189,16 +196,8 @@ type Pairwise struct {
 // hb.EpochOracle (both vector-clock engines do; the graph does not).
 func NewPairwise(o hb.Oracle, opts ...Option) *Pairwise {
 	cfg := buildOptions(opts)
-	hint := cfg.locHint
-	if hint < 256 {
-		hint = 256
-	}
-	d := &Pairwise{
-		oracle:    o,
-		state:     make(map[mem.Loc]*pairState, hint),
-		block:     hint,
-		reportAll: cfg.reportAll,
-	}
+	d := &Pairwise{oracle: o, reportAll: cfg.reportAll}
+	d.shadow.init(cfg.locHint)
 	if eo, ok := o.(hb.EpochOracle); ok && !cfg.noEpochs {
 		d.epochs = eo
 	}
@@ -211,36 +210,22 @@ func (d *Pairwise) Stats() PairwiseStats { return d.stats }
 // States reports how many distinct logical locations the detector holds
 // pairwise state for — the paper's constant-per-location auxiliary space,
 // measured.
-func (d *Pairwise) States() int { return len(d.state) }
-
-func (d *Pairwise) stateFor(l mem.Loc) *pairState {
-	if s, ok := d.state[l]; ok {
-		return s
-	}
-	if len(d.slab) == cap(d.slab) {
-		// Fresh block: existing pointers stay valid, appends never copy.
-		d.slab = make([]pairState, 0, d.block)
-	}
-	d.slab = append(d.slab, pairState{})
-	s := &d.slab[len(d.slab)-1]
-	d.state[l] = s
-	return s
-}
+func (d *Pairwise) States() int { return d.shadow.len() }
 
 // epochUnfetched marks a cached coordinate that has not been asked of the
 // oracle yet: epochs are fetched only when a check actually needs them, so
 // an access with no conflicting prior costs no oracle call at all.
 var epochUnfetched = hb.Epoch{Chain: -2}
 
-// concurrentEpoch decides CHC(prior.Op, cur) exactly like
+// concurrentEpoch decides CHC(prior, cur) exactly like
 // oracle.Concurrent, from epochs. pe points at prior's cached coordinate
 // (s.writeEp or s.readEp) and ce at the current operation's per-call
 // cache; both are fetched lazily and at most once per OnAccess. s caches
 // write-ordering certificates; they are only consulted (and only written)
 // when prior is s.write.
-func (d *Pairwise) concurrentEpoch(s *pairState, prior Access, pe *hb.Epoch, isWrite bool, cur op.ID, ce *hb.Epoch) bool {
+func (d *Pairwise) concurrentEpoch(s *pairWord, prior op.ID, pe *hb.Epoch, isWrite bool, cur op.ID, ce *hb.Epoch) bool {
 	d.stats.Checks++
-	if prior.Op == cur {
+	if prior == cur {
 		d.stats.EpochHits++
 		return false
 	}
@@ -248,20 +233,20 @@ func (d *Pairwise) concurrentEpoch(s *pairState, prior Access, pe *hb.Epoch, isW
 		// Late edges invalidated coordinates: drop the cached epochs and
 		// the certificates minted under the old decomposition.
 		s.gen = gen
-		s.hasCert = false
-		s.certs = nil
+		s.flags &^= pwHasCert | pwShared
+		s.certs = s.certs[:0]
 		s.writeEp = epochUnfetched
 		s.readEp = epochUnfetched
 	}
 	if pe.Chain == epochUnfetched.Chain {
-		*pe = d.epochs.Epoch(prior.Op)
+		*pe = d.epochs.Epoch(prior)
 	}
 	if ce.Chain == epochUnfetched.Chain {
 		*ce = d.epochs.Epoch(cur)
 	}
 	if pe.Chain < 0 || ce.Chain < 0 {
 		// Unknown operation: mirror the plain oracle bit for bit.
-		return d.oracle.Concurrent(prior.Op, cur)
+		return d.oracle.Concurrent(prior, cur)
 	}
 	if pe.Chain == ce.Chain {
 		// A chain is a path in the DAG: same-chain operations are
@@ -269,17 +254,11 @@ func (d *Pairwise) concurrentEpoch(s *pairState, prior Access, pe *hb.Epoch, isW
 		d.stats.EpochHits++
 		return false
 	}
-	if isWrite {
+	if isWrite && s.certified(*ce) {
 		// Certificate hit: the write is known ordered before an earlier
 		// point of cur's chain, hence before cur.
-		if s.hasCert && s.cert.Chain == ce.Chain && s.cert.Pos <= ce.Pos {
-			d.stats.EpochHits++
-			return false
-		}
-		if p, ok := s.certs[ce.Chain]; ok && p <= ce.Pos {
-			d.stats.EpochHits++
-			return false
-		}
+		d.stats.EpochHits++
+		return false
 	}
 	d.stats.VectorChecks++
 	ordered := d.epochs.OrderedEpoch(*pe, cur)
@@ -289,18 +268,36 @@ func (d *Pairwise) concurrentEpoch(s *pairState, prior Access, pe *hb.Epoch, isW
 	if ordered {
 		return false
 	}
-	return !d.epochs.OrderedEpoch(*ce, prior.Op)
+	return !d.epochs.OrderedEpoch(*ce, prior)
+}
+
+// certified reports a certificate for chain@pos: the write is ordered
+// before e's chain at or before e's position.
+func (s *pairWord) certified(e hb.Epoch) bool {
+	if s.flags&pwHasCert != 0 {
+		return s.cert.Chain == e.Chain && s.cert.Pos <= e.Pos
+	}
+	if s.flags&pwShared != 0 {
+		i, ok := s.findCert(e.Chain)
+		return ok && s.certs[i].Pos <= e.Pos
+	}
+	return false
+}
+
+func (s *pairWord) findCert(chain int32) (int, bool) {
+	return slices.BinarySearchFunc(s.certs, chain, func(c hb.Epoch, ch int32) int { return cmp.Compare(c.Chain, ch) })
 }
 
 // certify records that the current write happens before chain@pos,
-// promoting the inline certificate to the read-shared map when a second
+// promoting the inline certificate to the read-shared set when a second
 // chain shows up.
-func (d *Pairwise) certify(s *pairState, e hb.Epoch) {
-	if !s.hasCert && s.certs == nil {
-		s.cert, s.hasCert = e, true
+func (d *Pairwise) certify(s *pairWord, e hb.Epoch) {
+	switch {
+	case s.flags&(pwHasCert|pwShared) == 0:
+		s.cert = e
+		s.flags |= pwHasCert
 		return
-	}
-	if s.hasCert {
+	case s.flags&pwHasCert != 0:
 		if s.cert.Chain == e.Chain {
 			if e.Pos < s.cert.Pos {
 				s.cert.Pos = e.Pos
@@ -308,39 +305,44 @@ func (d *Pairwise) certify(s *pairState, e hb.Epoch) {
 			return
 		}
 		// Read-share promotion: certificates now span chains.
-		s.certs = map[int32]int32{s.cert.Chain: s.cert.Pos}
-		s.hasCert = false
+		s.certs = append(s.certs[:0], s.cert)
+		s.flags = s.flags&^pwHasCert | pwShared
 		d.stats.Promotions++
 	}
-	if p, ok := s.certs[e.Chain]; !ok || e.Pos < p {
-		s.certs[e.Chain] = e.Pos
+	if i, ok := s.findCert(e.Chain); !ok {
+		s.certs = slices.Insert(s.certs, i, e)
+	} else if e.Pos < s.certs[i].Pos {
+		s.certs[i].Pos = e.Pos
 	}
 }
 
 // demote clears the write-ordering certificates: they were minted against
-// the previous write, and the read-shared map collapses back to the inline
+// the previous write, and the read-shared set collapses back to the inline
 // form (write-after-read-share demotion — counted only when a promoted
-// map was actually discarded).
-func (d *Pairwise) demote(s *pairState) {
-	if s.certs != nil {
+// set was actually discarded). The set's storage is kept for the next
+// promotion.
+func (d *Pairwise) demote(s *pairWord) {
+	if s.flags&pwShared != 0 {
 		d.stats.Demotions++
 	}
-	s.hasCert = false
-	s.certs = nil
+	s.flags &^= pwHasCert | pwShared
+	s.certs = s.certs[:0]
 }
 
 // OnAccess implements Detector.
 func (d *Pairwise) OnAccess(a Access) {
-	s := d.stateFor(a.Loc)
-	if s.reported && !d.reportAll {
+	s, _ := d.shadow.lookup(a.Loc, hashLoc(a.Loc))
+	if s.flags&pwReported != 0 && !d.reportAll {
 		// The location's one report is spent; nothing below can change
 		// the output, so skip the oracle entirely (an O(1) exit the
 		// plain path pays full queries for). Cached epochs go stale but
 		// are never read again for this location.
 		if a.Kind == mem.Read {
-			s.read, s.hasRead = a, true
+			s.read = recOf(a)
+			s.flags |= pwHasRead
 		} else {
-			s.write, s.hasWrite = a, true
+			s.write = recOf(a)
+			s.flags |= pwHasWrite
 			d.demote(s)
 		}
 		return
@@ -351,73 +353,79 @@ func (d *Pairwise) OnAccess(a Access) {
 	}
 	switch a.Kind {
 	case mem.Read:
-		if s.hasWrite && d.concurrentPlain(s.write, a.Op) {
+		if s.flags&pwHasWrite != 0 && d.concurrentPlain(s.write.op, a.Op) {
 			d.report(s, s.write, a, false)
 		}
-		s.read, s.hasRead = a, true
+		s.read = recOf(a)
+		s.flags |= pwHasRead
 	case mem.Write:
 		// Check-then-write detection: the most recent read of this
 		// location was by the same operation (operations are atomic,
 		// so that read directly preceded this write).
-		readFirst := s.hasRead && s.read.Op == a.Op
-		if s.hasWrite && d.concurrentPlain(s.write, a.Op) {
+		hasRead := s.flags&pwHasRead != 0
+		readFirst := hasRead && s.read.op == a.Op
+		if s.flags&pwHasWrite != 0 && d.concurrentPlain(s.write.op, a.Op) {
 			d.report(s, s.write, a, readFirst)
 		}
-		if s.hasRead && s.read.Op != a.Op && d.concurrentPlain(s.read, a.Op) {
+		if hasRead && s.read.op != a.Op && d.concurrentPlain(s.read.op, a.Op) {
 			d.report(s, s.read, a, readFirst)
 		}
-		s.write, s.hasWrite = a, true
+		s.write = recOf(a)
+		s.flags |= pwHasWrite
 	}
 }
 
 // concurrentPlain is the pre-epoch check: one oracle call per conflicting
 // prior access.
-func (d *Pairwise) concurrentPlain(prior Access, cur op.ID) bool {
+func (d *Pairwise) concurrentPlain(prior, cur op.ID) bool {
 	d.stats.Checks++
-	if prior.Op == cur {
+	if prior == cur {
 		return false
 	}
-	return d.oracle.Concurrent(prior.Op, cur)
+	return d.oracle.Concurrent(prior, cur)
 }
 
 // onAccessEpoch is OnAccess over the epoch representation: coordinates are
 // fetched lazily — an access with no conflicting prior never calls the
 // oracle at all — and the common same-chain case resolves with integer
 // compares only.
-func (d *Pairwise) onAccessEpoch(s *pairState, a Access) {
+func (d *Pairwise) onAccessEpoch(s *pairWord, a Access) {
 	ce := epochUnfetched
 	switch a.Kind {
 	case mem.Read:
-		if s.hasWrite && d.concurrentEpoch(s, s.write, &s.writeEp, true, a.Op, &ce) {
+		if s.flags&pwHasWrite != 0 && d.concurrentEpoch(s, s.write.op, &s.writeEp, true, a.Op, &ce) {
 			d.report(s, s.write, a, false)
 		}
-		s.read, s.hasRead, s.readEp = a, true, ce
+		s.read, s.readEp = recOf(a), ce
+		s.flags |= pwHasRead
 	case mem.Write:
 		// Check-then-write detection: the most recent read of this
 		// location was by the same operation (operations are atomic,
 		// so that read directly preceded this write).
-		readFirst := s.hasRead && s.read.Op == a.Op
-		if s.hasWrite && d.concurrentEpoch(s, s.write, &s.writeEp, true, a.Op, &ce) {
+		hasRead := s.flags&pwHasRead != 0
+		readFirst := hasRead && s.read.op == a.Op
+		if s.flags&pwHasWrite != 0 && d.concurrentEpoch(s, s.write.op, &s.writeEp, true, a.Op, &ce) {
 			d.report(s, s.write, a, readFirst)
 		}
-		if s.hasRead && s.read.Op != a.Op && d.concurrentEpoch(s, s.read, &s.readEp, false, a.Op, &ce) {
+		if hasRead && s.read.op != a.Op && d.concurrentEpoch(s, s.read.op, &s.readEp, false, a.Op, &ce) {
 			d.report(s, s.read, a, readFirst)
 		}
-		s.write, s.hasWrite, s.writeEp = a, true, ce
+		s.write, s.writeEp = recOf(a), ce
+		s.flags |= pwHasWrite
 		d.demote(s)
 	}
 }
 
-func (d *Pairwise) report(s *pairState, prior, cur Access, writerReadFirst bool) {
+func (d *Pairwise) report(s *pairWord, prior rec, cur Access, writerReadFirst bool) {
 	if !d.reportAll {
-		if s.reported {
+		if s.flags&pwReported != 0 {
 			return
 		}
-		s.reported = true
+		s.flags |= pwReported
 	}
 	d.reports = append(d.reports, Report{
 		Loc:             cur.Loc,
-		Prior:           prior,
+		Prior:           prior.access(cur.Loc),
 		Current:         cur,
 		WriterReadFirst: writerReadFirst,
 	})
@@ -431,56 +439,59 @@ func (d *Pairwise) Reports() []Report { return d.reports }
 // this completeness for constant per-location state.
 type AccessSet struct {
 	oracle  hb.Oracle
-	history map[mem.Loc][]Access
+	history locTable[accessHistory]
 	// onePerLoc mirrors WebRacer's at-most-one-race-per-location
 	// reporting (the OnePerLoc option).
 	onePerLoc bool
-	reported  map[mem.Loc]bool
 	reports   []Report
+}
+
+// accessHistory is AccessSet's per-location word: every access so far,
+// in order, and whether the location's one report (OnePerLoc) is spent.
+type accessHistory struct {
+	recs     []rec
+	reported bool
 }
 
 // NewAccessSet returns the complete-history detector.
 func NewAccessSet(o hb.Oracle, opts ...Option) *AccessSet {
 	cfg := buildOptions(opts)
-	return &AccessSet{
-		oracle:    o,
-		history:   make(map[mem.Loc][]Access),
-		onePerLoc: cfg.onePerLoc,
-		reported:  make(map[mem.Loc]bool),
-	}
+	d := &AccessSet{oracle: o, onePerLoc: cfg.onePerLoc}
+	d.history.init(cfg.locHint)
+	return d
 }
 
 // OnAccess implements Detector.
 func (d *AccessSet) OnAccess(a Access) {
-	hist := d.history[a.Loc]
+	h, _ := d.history.lookup(a.Loc, hashLoc(a.Loc))
 	readFirst := false
-	if a.Kind == mem.Write && len(hist) > 0 {
+	if a.Kind == mem.Write && len(h.recs) > 0 {
 		// Only the immediately preceding access counts: operations are
 		// atomic, so a check-then-write leaves its own read last.
-		last := hist[len(hist)-1]
-		readFirst = last.Kind == mem.Read && last.Op == a.Op
+		last := h.recs[len(h.recs)-1]
+		readFirst = last.kind == mem.Read && last.op == a.Op
 	}
-	for _, h := range hist {
-		if h.Kind == mem.Read && a.Kind == mem.Read {
+	for _, r := range h.recs {
+		if r.kind == mem.Read && a.Kind == mem.Read {
 			continue
 		}
-		if h.Op == a.Op {
+		if r.op == a.Op {
 			continue
 		}
-		if d.oracle.Concurrent(h.Op, a.Op) {
+		if d.oracle.Concurrent(r.op, a.Op) {
 			if d.onePerLoc {
-				if d.reported[a.Loc] {
+				if h.reported {
 					break
 				}
-				d.reported[a.Loc] = true
+				h.reported = true
 			}
-			d.reports = append(d.reports, Report{Loc: a.Loc, Prior: h, Current: a, WriterReadFirst: readFirst})
+			d.reports = append(d.reports, Report{Loc: a.Loc, Prior: r.access(a.Loc), Current: a, WriterReadFirst: readFirst})
 			if d.onePerLoc {
 				break
 			}
 		}
 	}
-	d.history[a.Loc] = append(hist, a)
+	h.recs = append(h.recs, recOf(a))
 }
 
 // Reports implements Detector.

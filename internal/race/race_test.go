@@ -284,8 +284,14 @@ func TestSameTaskReadsStayO1(t *testing.T) {
 	}
 }
 
+// word is the white-box tests' view of l's shadow word.
+func (d *Pairwise) word(l mem.Loc) *pairWord {
+	w, _ := d.shadow.lookup(l, hashLoc(l))
+	return w
+}
+
 // TestWriteAfterReadShareDemotion (white-box): reads from two chains
-// promote the write's inline certificate to the read-shared map; the next
+// promote the write's inline certificate to the read-shared set; the next
 // write demotes the location back to the inline form, because certificates
 // only describe the write they were minted against.
 func TestWriteAfterReadShareDemotion(t *testing.T) {
@@ -301,20 +307,23 @@ func TestWriteAfterReadShareDemotion(t *testing.T) {
 	x := loc("x")
 	d.OnAccess(wr(x, 1))
 	d.OnAccess(rd(x, 3)) // cross-chain, ordered: mints inline cert for chain(3)
-	s := d.state[x]
-	if !s.hasCert {
+	s := d.word(x)
+	if s.flags&pwHasCert == 0 {
 		t.Fatal("ordered cross-chain read minted no certificate")
 	}
-	d.OnAccess(rd(x, 4)) // second chain: promotes to the cert map
-	if s.hasCert || s.certs == nil {
-		t.Fatalf("read-share promotion missing: hasCert=%v certs=%v", s.hasCert, s.certs)
+	d.OnAccess(rd(x, 4)) // second chain: promotes to the cert set
+	if s.flags&pwHasCert != 0 || s.flags&pwShared == 0 {
+		t.Fatalf("read-share promotion missing: flags=%b certs=%v", s.flags, s.certs)
 	}
 	if len(s.certs) != 2 {
-		t.Errorf("cert map has %d chains, want 2", len(s.certs))
+		t.Errorf("cert set has %d chains, want 2", len(s.certs))
 	}
 	d.OnAccess(wr(x, 5)) // op 5 is unordered: races, and demotes the certs
-	if s.hasCert || s.certs != nil {
-		t.Errorf("write did not demote certificates: hasCert=%v certs=%v", s.hasCert, s.certs)
+	if s.flags&(pwHasCert|pwShared) != 0 || len(s.certs) != 0 {
+		t.Errorf("write did not demote certificates: flags=%b certs=%v", s.flags, s.certs)
+	}
+	if st := d.Stats(); st.Promotions != 1 || st.Demotions != 1 {
+		t.Errorf("promotions %d, demotions %d, want 1 and 1", st.Promotions, st.Demotions)
 	}
 	if len(d.Reports()) != 2 {
 		// 5 races with the last write (1) and the last read (4).

@@ -9,17 +9,18 @@ import (
 )
 
 // Sampled is the fast detection tier: the pairwise algorithm of §5.1 run
-// over a flat shadow-word array, on a deterministically sampled subset of
+// over flat shadow words, on a deterministically sampled subset of
 // locations.
 //
-// Where Pairwise keeps a map of per-location structs with certificate
-// maps hanging off them, Sampled keeps one contiguous []shadowWord slice
-// indexed by a dense location id, with the last writer and last reader
-// coordinates packed into single uint64 epoch words (hb.PackEpoch). After
-// a location has been admitted, an access touches only its shadow word
-// and (for genuinely cross-chain priors) the epoch oracle — the steady
-// state performs zero heap allocations, which the tier's tests assert
-// with testing.AllocsPerRun.
+// Sampled keeps its words in the same shadow table as Pairwise (one
+// lookup per access, no per-location allocation), but its word is
+// flatter: no certificates, and the last writer and last reader
+// coordinates packed into single uint64 epoch words (hb.PackEpoch). A
+// rejected location keeps a word too, flagged so repeat accesses exit
+// after the lookup. After a location has been seen, an access touches
+// only its shadow word and (for genuinely cross-chain priors) the epoch
+// oracle — the steady state performs zero heap allocations, which the
+// tier's tests assert with testing.AllocsPerRun.
 //
 // Sampling is per *location*, not per access, and is a pure function of
 // (sampling seed, location identity): an FNV-1a hash of the location maps
@@ -51,20 +52,12 @@ type Sampled struct {
 	sampleAll bool   // rate >= 1: skip hashing entirely
 	seed      int64
 
-	// index maps each location seen to its dense shadow index, or
-	// skipIndex for locations the sampler rejected. Map reads don't
-	// allocate; inserts only happen the first time a location appears.
-	index  map[mem.Loc]int32
-	shadow []shadowWord
+	shadow locTable[shadowWord]
 
 	reports   []Report
 	reportAll bool
 	stats     SampledStats
 }
-
-// skipIndex marks a location the sampler rejected: remembered so repeat
-// accesses cost one map read and no hash.
-const skipIndex int32 = -1
 
 // shadowWord is the constant per-location state of the sampled tier: the
 // pairwise algorithm's last write and last read, with their chain@pos
@@ -72,8 +65,8 @@ const skipIndex int32 = -1
 // lazily like Pairwise's epochUnfetched). gen guards the packed words
 // against late-edge chain reassignment.
 type shadowWord struct {
-	write   Access
-	read    Access
+	write   rec
+	read    rec
 	writeEp uint64
 	readEp  uint64
 	gen     uint32
@@ -85,6 +78,7 @@ const (
 	swHasWrite uint8 = 1 << iota
 	swHasRead
 	swReported
+	swSkip // the sampler rejected the location
 )
 
 // SampledStats counts the sampled tier's work: the skip/check split that
@@ -117,17 +111,13 @@ func NewSampled(o hb.Oracle, rate float64, seed int64, opts ...Option) *Sampled 
 	if rate < 0 || math.IsNaN(rate) {
 		rate = 0
 	}
-	hint := cfg.locHint
-	if hint < 256 {
-		hint = 256
-	}
 	d := &Sampled{
 		oracle:    o,
 		rate:      rate,
 		seed:      seed,
-		index:     make(map[mem.Loc]int32, hint),
 		reportAll: cfg.reportAll,
 	}
+	d.shadow.init(cfg.locHint)
 	if rate >= 1 {
 		d.rate, d.sampleAll, d.threshold = 1, true, ^uint64(0)
 	} else {
@@ -148,23 +138,18 @@ func (d *Sampled) Rate() float64 { return d.rate }
 func (d *Sampled) Stats() SampledStats { return d.stats }
 
 // States reports how many locations hold shadow state (the sampled
-// subset; rejected locations cost one map entry and no shadow word).
-func (d *Sampled) States() int { return len(d.shadow) }
+// subset; rejected locations hold only a skip mark).
+func (d *Sampled) States() int { return d.stats.SampledLocations }
 
 // admit decides a first-seen location's fate: hash it against the
-// threshold and assign either a fresh shadow index or skipIndex. This is
-// the only place the detector allocates after warm-up tails off.
-func (d *Sampled) admit(l mem.Loc) int32 {
+// threshold and mark its fresh word rejected or sampled.
+func (d *Sampled) admit(s *shadowWord, l mem.Loc) {
 	d.stats.Locations++
 	if !d.sampleAll && locHash(d.seed, l) >= d.threshold {
-		d.index[l] = skipIndex
-		return skipIndex
+		s.flags = swSkip
+		return
 	}
 	d.stats.SampledLocations++
-	idx := int32(len(d.shadow))
-	d.shadow = append(d.shadow, shadowWord{})
-	d.index[l] = idx
-	return idx
 }
 
 // locHash is the sampling decision function: FNV-1a over the seed and
@@ -195,30 +180,29 @@ func locHash(seed int64, l mem.Loc) uint64 {
 	return h
 }
 
-// OnAccess implements Detector. Rejected locations exit after one map
-// read; sampled locations run the pairwise check against their shadow
+// OnAccess implements Detector. Rejected locations exit after one table
+// lookup; sampled locations run the pairwise check against their shadow
 // word.
 func (d *Sampled) OnAccess(a Access) {
-	idx, seen := d.index[a.Loc]
-	if !seen {
-		idx = d.admit(a.Loc)
+	s, added := d.shadow.lookup(a.Loc, hashLoc(a.Loc))
+	if added {
+		d.admit(s, a.Loc)
 	}
-	if idx == skipIndex {
+	if s.flags&swSkip != 0 {
 		d.stats.Skipped++
 		return
 	}
 	d.stats.Checked++
-	s := &d.shadow[idx]
 	if s.flags&swReported != 0 && !d.reportAll {
 		// Mirror Pairwise's spent-location exit: state still updates so
 		// WriterReadFirst stays right if reportAll ever reads it, but no
 		// oracle call can change the output. Packed words go stale and
 		// are never read again for this location.
 		if a.Kind == mem.Read {
-			s.read = a
+			s.read = recOf(a)
 			s.flags |= swHasRead
 		} else {
-			s.write = a
+			s.write = recOf(a)
 			s.flags |= swHasWrite
 		}
 		return
@@ -226,40 +210,40 @@ func (d *Sampled) OnAccess(a Access) {
 	ce := epochUnfetched
 	switch a.Kind {
 	case mem.Read:
-		if s.flags&swHasWrite != 0 && d.concurrentPacked(s, s.write, &s.writeEp, a.Op, &ce) {
+		if s.flags&swHasWrite != 0 && d.concurrentPacked(s, s.write.op, &s.writeEp, a.Op, &ce) {
 			d.hit(s, s.write, a, false)
 		}
-		s.read = a
+		s.read = recOf(a)
 		s.readEp = hb.PackEpoch(ce)
 		s.flags |= swHasRead
 	case mem.Write:
-		readFirst := s.flags&swHasRead != 0 && s.read.Op == a.Op
-		if s.flags&swHasWrite != 0 && d.concurrentPacked(s, s.write, &s.writeEp, a.Op, &ce) {
+		readFirst := s.flags&swHasRead != 0 && s.read.op == a.Op
+		if s.flags&swHasWrite != 0 && d.concurrentPacked(s, s.write.op, &s.writeEp, a.Op, &ce) {
 			d.hit(s, s.write, a, readFirst)
 		}
-		if s.flags&swHasRead != 0 && s.read.Op != a.Op && d.concurrentPacked(s, s.read, &s.readEp, a.Op, &ce) {
+		if s.flags&swHasRead != 0 && s.read.op != a.Op && d.concurrentPacked(s, s.read.op, &s.readEp, a.Op, &ce) {
 			d.hit(s, s.read, a, readFirst)
 		}
-		s.write = a
+		s.write = recOf(a)
 		s.writeEp = hb.PackEpoch(ce)
 		s.flags |= swHasWrite
 	}
 }
 
-// concurrentPacked decides CHC(prior.Op, cur) exactly like Pairwise's
+// concurrentPacked decides CHC(prior, cur) exactly like Pairwise's
 // concurrentEpoch, over the packed representation: pe points at the
 // prior's shadow word half and ce at the per-call current-epoch cache,
 // both fetched lazily. No certificates — the shadow word stays flat; the
 // cost is extra OrderedEpoch calls on contended locations, which the
 // escalation contract tolerates because hits re-run exact anyway.
-func (d *Sampled) concurrentPacked(s *shadowWord, prior Access, pe *uint64, cur op.ID, ce *hb.Epoch) bool {
-	if prior.Op == cur {
+func (d *Sampled) concurrentPacked(s *shadowWord, prior op.ID, pe *uint64, cur op.ID, ce *hb.Epoch) bool {
+	if prior == cur {
 		d.stats.EpochHits++
 		return false
 	}
 	if d.epochs == nil {
 		d.stats.VectorChecks++
-		return d.oracle.Concurrent(prior.Op, cur)
+		return d.oracle.Concurrent(prior, cur)
 	}
 	if gen := d.epochs.Gen(); gen != s.gen {
 		// Late edges may have reassigned chains: drop both packed words
@@ -268,11 +252,11 @@ func (d *Sampled) concurrentPacked(s *shadowWord, prior Access, pe *uint64, cur 
 		s.writeEp, s.readEp = 0, 0
 	}
 	if *pe == 0 {
-		p := d.epochs.Epoch(prior.Op)
+		p := d.epochs.Epoch(prior)
 		if p.Chain < 0 {
 			// Unknown operation: mirror the plain oracle bit for bit.
 			d.stats.VectorChecks++
-			return d.oracle.Concurrent(prior.Op, cur)
+			return d.oracle.Concurrent(prior, cur)
 		}
 		*pe = hb.PackEpoch(p)
 	}
@@ -281,7 +265,7 @@ func (d *Sampled) concurrentPacked(s *shadowWord, prior Access, pe *uint64, cur 
 	}
 	if ce.Chain < 0 {
 		d.stats.VectorChecks++
-		return d.oracle.Concurrent(prior.Op, cur)
+		return d.oracle.Concurrent(prior, cur)
 	}
 	p := hb.UnpackEpoch(*pe)
 	if p.Chain == ce.Chain {
@@ -293,12 +277,12 @@ func (d *Sampled) concurrentPacked(s *shadowWord, prior Access, pe *uint64, cur 
 	if d.epochs.OrderedEpoch(p, cur) {
 		return false
 	}
-	return !d.epochs.OrderedEpoch(*ce, prior.Op)
+	return !d.epochs.OrderedEpoch(*ce, prior)
 }
 
 // hit records a race at a sampled location, with Pairwise's
 // one-report-per-location default.
-func (d *Sampled) hit(s *shadowWord, prior, cur Access, writerReadFirst bool) {
+func (d *Sampled) hit(s *shadowWord, prior rec, cur Access, writerReadFirst bool) {
 	if !d.reportAll {
 		if s.flags&swReported != 0 {
 			return
@@ -308,7 +292,7 @@ func (d *Sampled) hit(s *shadowWord, prior, cur Access, writerReadFirst bool) {
 	d.stats.Hits++
 	d.reports = append(d.reports, Report{
 		Loc:             cur.Loc,
-		Prior:           prior,
+		Prior:           prior.access(cur.Loc),
 		Current:         cur,
 		WriterReadFirst: writerReadFirst,
 	})

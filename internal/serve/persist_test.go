@@ -28,6 +28,33 @@ func TestRequestBodyLimit413(t *testing.T) {
 	}
 }
 
+// TestRequestTrailingData400: a body is one request object. Data after
+// it, a second object or garbage, is refused with 400 by a node and by a
+// router alike, before any cache lookup could answer it as the first
+// object alone; trailing whitespace is accepted.
+func TestRequestTrailingData400(t *testing.T) {
+	c := newCluster(t, 1, Config{Workers: 1}, RouterConfig{})
+	_, node := newTestServer(t, Config{Workers: 1})
+	req := detectReq(2, 9)
+	for _, ts := range []*httptest.Server{node, c.rts} {
+		if resp, b := post(t, ts, "/v1/detect", req); resp.StatusCode != 200 {
+			t.Fatalf("%s: plain request: %d %s", ts.URL, resp.StatusCode, b)
+		}
+		for _, body := range []string{req + ` {"seed":10}`, req + "garbage", req + "}"} {
+			resp, b := post(t, ts, "/v1/detect", body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: %q: %d (cache %q), want 400", ts.URL, body, resp.StatusCode, resp.Header.Get("X-Webracer-Cache"))
+			}
+			if !bytes.Contains(b, []byte("after the request object")) {
+				t.Errorf("%s: %q: 400 body %s does not name the trailing data", ts.URL, body, b)
+			}
+		}
+		if resp, b := post(t, ts, "/v1/detect", req+" \r\n\t"); resp.StatusCode != 200 {
+			t.Errorf("%s: trailing whitespace: %d %s, want 200", ts.URL, resp.StatusCode, b)
+		}
+	}
+}
+
 // TestRetryAfterScalesWithQueueDepth: the 429 Retry-After hint is
 // estimate × (1 + ⌈waiting/workers⌉) capped at 60 — a full deep queue
 // tells clients to come back later than a full shallow one.

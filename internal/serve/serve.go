@@ -288,7 +288,8 @@ func (s *Server) post(kind jobKind) http.HandlerFunc {
 // readRequest reads and decodes a POST body within limit, writing the
 // 4xx response itself on failure: an oversized body is 413 (the body was
 // cut off mid-read — nothing was admitted, the request is safely
-// retryable smaller), anything else malformed is 400. The raw bytes are
+// retryable smaller), anything else malformed is 400, including data
+// after the request object (trailing whitespace is fine). The raw bytes are
 // returned alongside the decoded request so the router can forward a
 // body verbatim instead of re-marshaling it.
 func readRequest(w http.ResponseWriter, hr *http.Request, limit int64) (*Request, []byte, bool) {
@@ -308,6 +309,12 @@ func readRequest(w http.ResponseWriter, hr *http.Request, limit int64) (*Request
 	var req Request
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return nil, nil, false
+	}
+	// One object per body: anything after it but whitespace would
+	// otherwise be dropped, and the request answered as if it were absent.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad request body: data after the request object")
 		return nil, nil, false
 	}
 	return &req, raw, true
