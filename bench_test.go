@@ -317,6 +317,25 @@ func BenchmarkDetectorRunFloor(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectorRunCorpusCold measures cold default-configuration
+// detections the way a node serves cache misses: each op is one Run of
+// one of 400 corpus pages, each at its own seed, with no parse memo, so
+// every script is lexed, parsed and resolved afresh. Allocations per op
+// are per run.
+func BenchmarkDetectorRunCorpusCold(b *testing.B) {
+	const pages = 400
+	sites := make([]*loader.Site, pages)
+	for i := range sites {
+		sites[i] = corpusGen(1)(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % pages
+		RunConfig(sites[k], DefaultConfig(int64(1000+k)))
+	}
+}
+
 // BenchmarkReplayVC measures the public ReplayVC entry point and reports
 // its speedup over the pre-epoch dense path on the same recorded traces
 // (the ISSUE's ≥2x acceptance criterion). Race counts of the two arms are

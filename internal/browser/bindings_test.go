@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"math/rand"
 	"testing"
 
 	"webracer/internal/loader"
@@ -198,5 +199,26 @@ later = document.getElementById("d").custom;
 	b := runSite(t, site, Config{Seed: 1})
 	if globalNum(t, b, "later") != 42 {
 		t.Error("expando property lost between lookups")
+	}
+}
+
+// TestMathRandomSequence: Math.random draws the session seed's sequence
+// from its first call, in the top window and in frames alike (one
+// source per browser, seeded on first use).
+func TestMathRandomSequence(t *testing.T) {
+	site := loader.NewSite("random").
+		Add("index.html", `<script>r0 = Math.random();</script><iframe src="f.html"></iframe>`).
+		Add("f.html", `<script>r1 = Math.random(); r2 = Math.random();</script>`)
+	b := runSite(t, site, Config{Seed: 7})
+	if len(b.Windows()) != 2 {
+		t.Fatalf("%d windows, want 2", len(b.Windows()))
+	}
+	want := rand.New(rand.NewSource(7))
+	for i, name := range []string{"r0", "r1", "r2"} {
+		w := b.Windows()[min(i, 1)]
+		v, ok := w.It.LookupGlobal(name)
+		if got, wv := v.ToNumber(), want.Float64(); !ok || got != wv {
+			t.Errorf("%s = %v (set %v), want %v", name, got, ok, wv)
+		}
 	}
 }

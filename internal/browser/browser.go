@@ -156,7 +156,9 @@ type Browser struct {
 	// interrupt remain valid (partial-results path).
 	Interrupted string
 
-	cfg      Config
+	cfg Config
+	// rng is Math.random's source, seeded on the first draw: most pages
+	// never call it, and seeding a source is not free.
 	rng      *rand.Rand
 	clock    float64
 	tasks    taskHeap
@@ -197,7 +199,6 @@ func New(site *loader.Site, cfg Config) *Browser {
 		HB:        hb.NewGraph(),
 		Serials:   &dom.Serials{},
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		createOps: map[*dom.Node]op.ID{},
 	}
 	b.started = time.Now()
@@ -227,6 +228,15 @@ func New(site *loader.Site, cfg Config) *Browser {
 	b.Ops.Began(b.initOp)
 	b.curOp = b.initOp
 	return b
+}
+
+// random draws the next Math.random value from the session's seeded
+// source.
+func (b *Browser) random() float64 {
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(b.cfg.Seed))
+	}
+	return b.rng.Float64()
 }
 
 // Detector returns the active race detector.

@@ -135,7 +135,7 @@ func (b *Browser) newWindow(url string, parent *Window, frameElem *dom.Node) *Wi
 		// reproducing the paper's Fig. 1 variable race between frames.
 		w.It.GlobalEnv().GlobalSerial = topOf(parent).It.GlobalEnv().GlobalSerial
 	}
-	w.It.Rand = func() float64 { return b.rng.Float64() }
+	w.It.Rand = b.random
 	w.It.Now = func() float64 { return b.clock }
 	w.installBindings()
 	if b.top == nil {

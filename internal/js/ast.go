@@ -40,7 +40,11 @@ type Program struct {
 type VarDecl struct {
 	base
 	Name string
+	// Ref is the hoisted binding the declaration creates; Addr is what
+	// the initializer assigns, which a catch parameter of the same name
+	// can shadow.
 	Ref  *VarRef
+	Addr Addr
 	Init Expr // nil for a bare declaration
 }
 
@@ -91,11 +95,12 @@ type ForStmt struct {
 	Body Stmt
 }
 
-// ForInStmt is for (var Name in X) Body.
+// ForInStmt is for (var Name in X) Body. Ref and Addr are as in VarDecl.
 type ForInStmt struct {
 	base
 	Name string
 	Ref  *VarRef
+	Addr Addr
 	X    Expr
 	Body Stmt
 }
@@ -138,8 +143,10 @@ type TryStmt struct {
 	Try      *BlockStmt
 	CatchVar string
 	CatchRef *VarRef
-	Catch    *BlockStmt
-	Finally  *BlockStmt
+	// CatchScope is the one-slot scope the catch parameter lives in.
+	CatchScope Scope
+	Catch      *BlockStmt
+	Finally    *BlockStmt
 }
 
 // SwitchStmt is switch (X) { case ...: ... default: ... }.
@@ -187,18 +194,37 @@ type VarRef struct {
 	// Global is set when no enclosing function declares the name.
 	Global bool
 	// Captured is set when a nested function references this binding.
+	// Every declaration through a captured ref draws a fresh serial.
 	Captured bool
+	// Slot is the binding's index in its function or catch scope
+	// (unused for globals).
+	Slot int32
+	// declShared marks a captured ref whose first declaration makes the
+	// binding instrumented. It is Captured except for a function's own
+	// name and a non-parameter `arguments`, which the activation
+	// declares, uninstrumented, before the ref's declaration runs.
+	declShared bool
 }
 
-// Shared reports whether accesses to this binding are potentially shared
-// between operations and must be instrumented.
-func (r *VarRef) Shared() bool { return r.Global || r.Captured }
+// Scope is the static layout of one run-time scope, a function
+// activation or a catch block: the names of its slots, in slot order.
+type Scope struct{ Names []string }
 
-// Ident is a variable reference.
+// Addr locates a reference's run-time binding, resolved at parse time:
+// Hops scopes outward from the reference's scope, then slot Slot there.
+// A negative Slot names a global; Hops then reaches the scope chain's
+// root, where the global is looked up by name.
+type Addr struct{ Hops, Slot int32 }
+
+// Ident is a variable reference. Ref is the name's static binding as the
+// capture analysis sees it; Addr is where the interpreter finds it. The
+// two differ only for `arguments`, which the capture analysis resolves
+// past the function's own arguments object.
 type Ident struct {
 	base
 	Name string
 	Ref  *VarRef
+	Addr Addr
 }
 
 // NumLit is a number literal.
@@ -236,6 +262,12 @@ type FuncLit struct {
 	Body   *Program
 	// ParamRefs are the resolved bindings of the parameters.
 	ParamRefs []*VarRef
+	// Scope is the activation's slot layout.
+	Scope Scope
+	// SelfRef is the binding of the function's own name (nil when
+	// anonymous); ArgsRef that of `arguments`, nil when the body never
+	// references it, so that calls skip building the arguments object.
+	SelfRef, ArgsRef *VarRef
 }
 
 // ArrayLit is [a, b, ...].
@@ -273,10 +305,13 @@ type CallExpr struct {
 	IsNew  bool
 }
 
-// AssignExpr is Target op= Value, where Op is "=", "+=", etc.
+// AssignExpr is Target op= Value, where Op is "=", "+=", etc. Code is
+// the binary operator a compound assignment applies (pAdd for "+="), or
+// pAssign for plain "=".
 type AssignExpr struct {
 	base
 	Op     string
+	Code   Code
 	Target Expr // Ident, MemberExpr or IndexExpr
 	Value  Expr
 }
@@ -285,6 +320,7 @@ type AssignExpr struct {
 type UpdateExpr struct {
 	base
 	Op     string // "++" or "--"
+	Code   Code
 	X      Expr
 	Prefix bool
 }
@@ -292,14 +328,16 @@ type UpdateExpr struct {
 // UnaryExpr is !x, -x, +x, ~x, typeof x, void x, delete x.
 type UnaryExpr struct {
 	base
-	Op string
-	X  Expr
+	Op   string
+	Code Code
+	X    Expr
 }
 
 // BinaryExpr is the non-short-circuit binary operators.
 type BinaryExpr struct {
 	base
 	Op   string
+	Code Code
 	L, R Expr
 }
 
@@ -307,6 +345,7 @@ type BinaryExpr struct {
 type LogicalExpr struct {
 	base
 	Op   string
+	Code Code
 	L, R Expr
 }
 

@@ -68,18 +68,10 @@ func (it *Interp) installBuiltins() {
 		if len(args) == 0 {
 			return Number(math.NaN()), nil
 		}
-		s := strings.TrimSpace(args[0].ToString())
-		end := len(s)
-		for end > 0 {
-			if _, err := strconv.ParseFloat(s[:end], 64); err == nil {
-				break
-			}
-			end--
-		}
-		if end == 0 {
+		f, ok := floatPrefix(strings.TrimSpace(args[0].ToString()))
+		if !ok {
 			return Number(math.NaN()), nil
 		}
-		f, _ := strconv.ParseFloat(s[:end], 64)
 		return Number(f), nil
 	}))
 

@@ -83,13 +83,13 @@ func (it *Interp) evalExpr(e Expr, env *Env) (Value, error) {
 		if err != nil {
 			return Undefined, err
 		}
-		return it.binaryOp(e.Op, l, r, e.Line)
+		return it.binaryOp(e.Code, l, r, e.Line)
 	case *LogicalExpr:
 		l, err := it.evalExpr(e.L, env)
 		if err != nil {
 			return Undefined, err
 		}
-		if e.Op == "&&" {
+		if e.Code == pAndAnd {
 			if !l.Truthy() {
 				return l, nil
 			}
@@ -147,10 +147,25 @@ func indexName(idx Value) string {
 
 // ---- variables ----
 
+// lookupHook, when set, sees every variable lookup: the scope it started
+// from, the name and the binding found (nil for an undefined global).
+// Tests set it to check the slot path against a name-walking oracle.
+var lookupHook func(env *Env, name string, b *Binding)
+
+// lookup finds the binding of the name at address at, as seen from env,
+// and the scope holding it.
+func (it *Interp) lookup(env *Env, at Addr, name string) (*Binding, *Env) {
+	b, defEnv := env.binding(at, name)
+	if lookupHook != nil {
+		lookupHook(env, name, b)
+	}
+	return b, defEnv
+}
+
 // readIdent reads a variable, instrumenting shared bindings. ctx lets a
 // call site mark the read as a function invocation (CtxFuncCall, §2.4).
 func (it *Interp) readIdent(id *Ident, env *Env, ctx mem.Context) (Value, error) {
-	b, defEnv := env.Lookup(id.Name)
+	b, defEnv := it.lookup(env, id.Addr, id.Name)
 	if b == nil {
 		// Undeclared: a global read. Instrument before throwing — the
 		// failed lookup is exactly the racing read of a function race
@@ -164,28 +179,19 @@ func (it *Interp) readIdent(id *Ident, env *Env, ctx mem.Context) (Value, error)
 	return b.Value, nil
 }
 
-// assignIdent writes a variable (var initializer, for-in binding or plain
-// assignment). Assigning an undeclared name creates a global.
-func (it *Interp) assignIdent(name string, ref *VarRef, v Value, env *Env, line int) error {
-	b, defEnv := env.Lookup(name)
+// assignIdent writes the variable name at address at (var initializer,
+// for-in binding or plain assignment). Assigning an undeclared name
+// creates a global. A function value written here is a plain write
+// (CtxPlain): only declarations are hoisted writes (§4.1).
+func (it *Interp) assignIdent(name string, at Addr, v Value, env *Env) {
+	b, defEnv := it.lookup(env, at, name)
 	if b == nil {
-		defEnv = env.Global()
-		b = defEnv.Declare(name, true, 0)
+		b = defEnv.declareGlobal(name)
 	}
 	if instrumented(b, defEnv) {
-		ctx := mem.CtxPlain
-		if v.IsCallable() {
-			// Writing a function value: distinguishable for reports
-			// but not a declaration; keep CtxPlain per §4.1 (only
-			// declarations are hoisted writes).
-			ctx = mem.CtxPlain
-		}
-		it.access(mem.Write, bindingLoc(b, defEnv, name), ctx, name)
+		it.access(mem.Write, bindingLoc(b, defEnv, name), mem.CtxPlain, name)
 	}
-	_ = ref
 	b.Value = v
-	_ = line
-	return nil
 }
 
 // ---- member access ----
@@ -607,7 +613,7 @@ func clampIndex(i, n int) int {
 func (it *Interp) evalAssign(e *AssignExpr, env *Env) (Value, error) {
 	// Compound assignment reads the target first.
 	var cur Value
-	if e.Op != "=" {
+	if e.Code != pAssign {
 		var err error
 		cur, err = it.evalExpr(e.Target, env)
 		if err != nil {
@@ -619,15 +625,16 @@ func (it *Interp) evalAssign(e *AssignExpr, env *Env) (Value, error) {
 		return Undefined, err
 	}
 	v := rhs
-	if e.Op != "=" {
-		v, err = it.binaryOp(strings.TrimSuffix(e.Op, "="), cur, rhs, e.Line)
+	if e.Code != pAssign {
+		v, err = it.binaryOp(e.Code, cur, rhs, e.Line)
 		if err != nil {
 			return Undefined, err
 		}
 	}
 	switch t := e.Target.(type) {
 	case *Ident:
-		return v, it.assignIdent(t.Name, t.Ref, v, env, e.Line)
+		it.assignIdent(t.Name, t.Addr, v, env)
+		return v, nil
 	case *MemberExpr:
 		x, err := it.evalExpr(t.X, env)
 		if err != nil {
@@ -656,7 +663,7 @@ func (it *Interp) evalUpdate(e *UpdateExpr, env *Env) (Value, error) {
 	}
 	n := old.ToNumber()
 	var nv float64
-	if e.Op == "++" {
+	if e.Code == pInc {
 		nv = n + 1
 	} else {
 		nv = n - 1
@@ -664,7 +671,7 @@ func (it *Interp) evalUpdate(e *UpdateExpr, env *Env) (Value, error) {
 	newV := Number(nv)
 	switch t := e.X.(type) {
 	case *Ident:
-		err = it.assignIdent(t.Name, t.Ref, newV, env, e.Line)
+		it.assignIdent(t.Name, t.Addr, newV, env)
 	case *MemberExpr:
 		var x Value
 		x, err = it.evalExpr(t.X, env)
@@ -694,9 +701,9 @@ func (it *Interp) evalUpdate(e *UpdateExpr, env *Env) (Value, error) {
 
 func (it *Interp) evalUnary(e *UnaryExpr, env *Env) (Value, error) {
 	// typeof on an unresolved identifier must not throw.
-	if e.Op == "typeof" {
+	if e.Code == kTypeof {
 		if id, ok := e.X.(*Ident); ok {
-			b, defEnv := env.Lookup(id.Name)
+			b, defEnv := it.lookup(env, id.Addr, id.Name)
 			if b == nil {
 				it.access(mem.Read, mem.VarLoc(it.global.GlobalSerial, id.Name), mem.CtxPlain, id.Name)
 				return Str("undefined"), nil
@@ -707,7 +714,7 @@ func (it *Interp) evalUnary(e *UnaryExpr, env *Env) (Value, error) {
 			return Str(b.Value.TypeOf()), nil
 		}
 	}
-	if e.Op == "delete" {
+	if e.Code == kDelete {
 		switch t := e.X.(type) {
 		case *MemberExpr:
 			x, err := it.evalExpr(t.X, env)
@@ -733,18 +740,18 @@ func (it *Interp) evalUnary(e *UnaryExpr, env *Env) (Value, error) {
 	if err != nil {
 		return Undefined, err
 	}
-	switch e.Op {
-	case "!":
+	switch e.Code {
+	case pNot:
 		return Boolean(!v.Truthy()), nil
-	case "-":
+	case pSub:
 		return Number(-v.ToNumber()), nil
-	case "+":
+	case pAdd:
 		return Number(v.ToNumber()), nil
-	case "~":
+	case pTilde:
 		return Number(float64(^toInt32(v.ToNumber()))), nil
-	case "typeof":
+	case kTypeof:
 		return Str(v.TypeOf()), nil
-	case "void":
+	case kVoid:
 		return Undefined, nil
 	default:
 		return Undefined, typeError(e.Line, "unsupported unary operator %q", e.Op)
@@ -784,9 +791,9 @@ func toUint32(f float64) uint32 {
 	return uint32(int64(f))
 }
 
-func (it *Interp) binaryOp(op string, l, r Value, line int) (Value, error) {
+func (it *Interp) binaryOp(op Code, l, r Value, line int) (Value, error) {
 	switch op {
-	case "+":
+	case pAdd:
 		// Objects convert via ToString (arrays join, dates stamp), so
 		// any string or object operand makes + concatenate; this skips
 		// the full ToPrimitive dance but matches the common cases.
@@ -795,37 +802,37 @@ func (it *Interp) binaryOp(op string, l, r Value, line int) (Value, error) {
 			return Str(l.ToString() + r.ToString()), nil
 		}
 		return Number(l.ToNumber() + r.ToNumber()), nil
-	case "-":
+	case pSub:
 		return Number(l.ToNumber() - r.ToNumber()), nil
-	case "*":
+	case pMul:
 		return Number(l.ToNumber() * r.ToNumber()), nil
-	case "/":
+	case pDiv:
 		return Number(l.ToNumber() / r.ToNumber()), nil
-	case "%":
+	case pMod:
 		return Number(math.Mod(l.ToNumber(), r.ToNumber())), nil
-	case "==":
+	case pEq:
 		return Boolean(LooseEquals(l, r)), nil
-	case "!=":
+	case pNe:
 		return Boolean(!LooseEquals(l, r)), nil
-	case "===":
+	case pStrictEq:
 		return Boolean(StrictEquals(l, r)), nil
-	case "!==":
+	case pStrictNe:
 		return Boolean(!StrictEquals(l, r)), nil
-	case "<", ">", "<=", ">=":
+	case pLt, pGt, pLe, pGe:
 		return relational(op, l, r), nil
-	case "&":
+	case pAnd:
 		return Number(float64(toInt32(l.ToNumber()) & toInt32(r.ToNumber()))), nil
-	case "|":
+	case pOr:
 		return Number(float64(toInt32(l.ToNumber()) | toInt32(r.ToNumber()))), nil
-	case "^":
+	case pXor:
 		return Number(float64(toInt32(l.ToNumber()) ^ toInt32(r.ToNumber()))), nil
-	case "<<":
+	case pShl:
 		return Number(float64(toInt32(l.ToNumber()) << (toUint32(r.ToNumber()) & 31))), nil
-	case ">>":
+	case pShr:
 		return Number(float64(toInt32(l.ToNumber()) >> (toUint32(r.ToNumber()) & 31))), nil
-	case ">>>":
+	case pUshr:
 		return Number(float64(toUint32(l.ToNumber()) >> (toUint32(r.ToNumber()) & 31))), nil
-	case "in":
+	case kIn:
 		if r.Kind != KindObject {
 			return Undefined, typeError(line, "'in' requires an object")
 		}
@@ -835,7 +842,7 @@ func (it *Interp) binaryOp(op string, l, r Value, line int) (Value, error) {
 		}
 		_, ok := r.Obj.GetProp(l.ToString())
 		return Boolean(ok), nil
-	case "instanceof":
+	case kInstanceof:
 		if r.Kind != KindObject || r.Obj.Fn == nil || l.Kind != KindObject {
 			return False, nil
 		}
@@ -845,14 +852,14 @@ func (it *Interp) binaryOp(op string, l, r Value, line int) (Value, error) {
 	}
 }
 
-func relational(op string, l, r Value) Value {
+func relational(op Code, l, r Value) Value {
 	if l.Kind == KindString && r.Kind == KindString {
 		switch op {
-		case "<":
+		case pLt:
 			return Boolean(l.Str < r.Str)
-		case ">":
+		case pGt:
 			return Boolean(l.Str > r.Str)
-		case "<=":
+		case pLe:
 			return Boolean(l.Str <= r.Str)
 		default:
 			return Boolean(l.Str >= r.Str)
@@ -863,11 +870,11 @@ func relational(op string, l, r Value) Value {
 		return False
 	}
 	switch op {
-	case "<":
+	case pLt:
 		return Boolean(a < b)
-	case ">":
+	case pGt:
 		return Boolean(a > b)
-	case "<=":
+	case pLe:
 		return Boolean(a <= b)
 	default:
 		return Boolean(a >= b)
@@ -956,30 +963,32 @@ func (it *Interp) call(fn *Closure, this Value, args []Value, line int) (Value, 
 	if fn.Native != nil {
 		return fn.Native(it, this, args)
 	}
-	env := NewEnv(fn.Env)
+	decl := fn.Decl
+	env := newEnv(fn.Env, &decl.Scope)
 	env.BindThis(it.thisOrGlobal(this))
-	// A named function expression can refer to itself.
-	if fn.Decl.Name != "" && fn.Self != nil {
-		env.Declare(fn.Decl.Name, false, 0).Value = ObjectVal(fn.Self)
+	// The activation declares, in order: the function's own name (so a
+	// named function expression can refer to itself), the parameters,
+	// `arguments` and the hoisted names. A name declared twice keeps
+	// its first binding.
+	if decl.SelfRef != nil {
+		env.slots[decl.SelfRef.Slot].Value = ObjectVal(fn.Self)
 	}
-	for i, p := range fn.Decl.Params {
-		ref := fn.Decl.ParamRefs[i]
-		slot := uint64(0)
-		if ref.Captured {
-			slot = it.serials.Next()
-		}
-		b := env.Declare(p, ref.Captured, slot)
+	for i, ref := range decl.ParamRefs {
+		b := &env.slots[ref.Slot]
+		it.declare(b, ref)
 		if i < len(args) {
 			b.Value = args[i]
 		}
 	}
-	// arguments object (read-only snapshot).
-	ao := it.NewArray(args...)
-	env.Declare("arguments", false, 0).Value = ObjectVal(ao)
-	if err := it.hoistInto(fn.Decl.Body, env); err != nil {
-		return Undefined, err
+	// The arguments object is a read-only snapshot, built only when the
+	// body reads it; its serial is drawn either way.
+	if decl.ArgsRef != nil {
+		env.slots[decl.ArgsRef.Slot].Value = ObjectVal(it.NewArray(args...))
+	} else {
+		it.serials.Next()
 	}
-	c, err := it.execStmts(fn.Decl.Body.Body, env)
+	it.hoistInto(decl.Body, env)
+	c, err := it.execStmts(decl.Body.Body, env)
 	if err != nil {
 		return Undefined, err
 	}

@@ -106,8 +106,7 @@ func (it *Interp) GlobalEnv() *Env { return it.global }
 // DefineGlobal installs a global binding without instrumentation (host
 // setup, not page activity).
 func (it *Interp) DefineGlobal(name string, v Value) {
-	b := it.global.Declare(name, true, 0)
-	b.Value = v
+	it.global.declareGlobal(name).Value = v
 }
 
 // LookupGlobal reads a global binding without instrumentation.
@@ -120,7 +119,7 @@ func (it *Interp) LookupGlobal(name string) (Value, bool) {
 
 // NewObject allocates a plain object.
 func (it *Interp) NewObject(class string) *Object {
-	return &Object{Serial: it.serials.Next(), Class: class, Props: map[string]Value{}}
+	return &Object{Serial: it.serials.Next(), Class: class}
 }
 
 // NewArray allocates an array object with the given elements.
@@ -187,9 +186,7 @@ func (it *Interp) Run(src, desc string) error {
 func (it *Interp) RunProgram(prog *Program, desc string) error {
 	it.total += it.steps
 	it.steps = 0
-	if err := it.hoistInto(prog, it.global); err != nil {
-		return err
-	}
+	it.hoistInto(prog, it.global)
 	_, err := it.execStmts(prog.Body, it.global)
 	return err
 }
@@ -214,44 +211,54 @@ func (it *Interp) access(kind mem.AccessKind, loc mem.Loc, ctx mem.Context, desc
 
 // bindingLoc computes the logical location of a binding resolved in
 // defEnv: globals key on the global scope serial, captured locals on the
-// binding's own slot.
+// binding's own serial.
 func bindingLoc(b *Binding, defEnv *Env, name string) mem.Loc {
 	if defEnv.IsGlobal() {
 		return mem.VarLoc(defEnv.GlobalSerial, name)
 	}
-	return mem.VarLoc(b.Slot, name)
+	return mem.VarLoc(b.Serial, name)
 }
 
-func instrumented(b *Binding, defEnv *Env) bool { return defEnv.IsGlobal() || b.Shared }
+func instrumented(b *Binding, defEnv *Env) bool { return defEnv.IsGlobal() || b.Serial != 0 }
 
 // hoistInto declares the hoisted names of prog in env and performs the
 // function-declaration writes of §4.1 in source order.
-func (it *Interp) hoistInto(prog *Program, env *Env) error {
+func (it *Interp) hoistInto(prog *Program, env *Env) {
+	global := env.IsGlobal()
 	for _, ref := range prog.Hoisted {
-		it.declareRef(env, ref)
+		if global {
+			env.declareGlobal(ref.Name)
+		} else {
+			it.declare(&env.slots[ref.Slot], ref)
+		}
 	}
 	for _, fd := range prog.FuncDecls {
 		fn := it.NewClosure(fd.Fn, env)
-		b, defEnv := env.Lookup(fd.Name)
-		if b == nil {
-			b = it.declareRef(env, fd.Ref)
-			defEnv = env
+		var b *Binding
+		if global {
+			b = env.vars[fd.Name]
+		} else {
+			b = &env.slots[fd.Ref.Slot]
 		}
-		if instrumented(b, defEnv) {
-			it.access(mem.Write, bindingLoc(b, defEnv, fd.Name), mem.CtxFuncDecl,
+		if instrumented(b, env) {
+			it.access(mem.Write, bindingLoc(b, env, fd.Name), mem.CtxFuncDecl,
 				"function "+fd.Name)
 		}
 		b.Value = fn
 	}
-	return nil
 }
 
-func (it *Interp) declareRef(env *Env, ref *VarRef) *Binding {
-	slot := uint64(0)
-	if ref.Captured && !env.IsGlobal() {
-		slot = it.serials.Next()
+// declare runs one declaration of a local through ref: a captured ref
+// draws a serial each time, and the binding takes the one its first
+// instrumented declaration draws.
+func (it *Interp) declare(b *Binding, ref *VarRef) {
+	if !ref.Captured {
+		return
 	}
-	return env.Declare(ref.Name, ref.Captured, slot)
+	s := it.serials.Next()
+	if ref.declShared && b.Serial == 0 {
+		b.Serial = s
+	}
 }
 
 // TotalSteps reports the evaluation steps performed over the
@@ -313,7 +320,8 @@ func (it *Interp) execStmt(s Stmt, env *Env) (ctrl, error) {
 		if err != nil {
 			return ctrl{}, err
 		}
-		return ctrl{}, it.assignIdent(s.Name, s.Ref, v, env, s.Line)
+		it.assignIdent(s.Name, s.Addr, v, env)
+		return ctrl{}, nil
 	case *FuncDeclStmt:
 		return ctrl{}, nil // hoisted at entry
 	case *ExprStmt:
@@ -504,9 +512,7 @@ func (it *Interp) execForInL(s *ForInStmt, env *Env, label string) (ctrl, error)
 		}
 	}
 	for _, k := range keys {
-		if err := it.assignIdent(s.Name, s.Ref, Str(k), env, s.Line); err != nil {
-			return ctrl{}, err
-		}
+		it.assignIdent(s.Name, s.Addr, Str(k), env)
 		c, err := it.execStmt(s.Body, env)
 		if err != nil {
 			return ctrl{}, err
@@ -537,12 +543,9 @@ func (it *Interp) execTry(s *TryStmt, env *Env) (ctrl, error) {
 		} else {
 			return ctrl{}, err
 		}
-		cenv := NewEnv(env)
-		slot := uint64(0)
-		if s.CatchRef != nil && s.CatchRef.Captured {
-			slot = it.serials.Next()
-		}
-		b := cenv.Declare(s.CatchVar, s.CatchRef != nil && s.CatchRef.Captured, slot)
+		cenv := newEnv(env, &s.CatchScope)
+		b := &cenv.slots[s.CatchRef.Slot]
+		it.declare(b, s.CatchRef)
 		b.Value = errorValue(it, jsErr)
 		c, err = it.execStmts(s.Catch.Body, cenv)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"webracer/internal/sitegen"
 )
@@ -177,7 +178,8 @@ func TestLexStringMatchesBuilder(t *testing.T) {
 }
 
 // TestLexPunctLongestMatch pins greedy matching through the first-byte
-// table, both on a token stream and against a linear scan of puncts.
+// table, both on a token stream and against a linear scan of all
+// punctuators, longest first.
 func TestLexPunctLongestMatch(t *testing.T) {
 	toks, err := Lex(`a !== b >>> c <<= d >>= e &&= f`)
 	if err != nil {
@@ -194,7 +196,7 @@ func TestLexPunctLongestMatch(t *testing.T) {
 	}
 
 	linear := func(src string) string {
-		for _, p := range puncts {
+		for _, p := range codeText[pStrictEq : pTilde+1] {
 			if strings.HasPrefix(src, p) {
 				return p
 			}
@@ -207,12 +209,36 @@ func TestLexPunctLongestMatch(t *testing.T) {
 			for _, c := range alphabet {
 				src := string([]rune{a, b, c})
 				for k := 1; k <= 3; k++ {
-					if got, want := matchPunct(src[:k]), linear(src[:k]); got != want {
+					if got, want := matchPunct(src[:k]).String(), linear(src[:k]); got != want {
 						t.Errorf("matchPunct(%q) = %q, want %q", src[:k], got, want)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestKeywordCodes: every keyword lexes to its own code, and no other
+// word to a keyword code.
+func TestKeywordCodes(t *testing.T) {
+	for c := kVar; c < numCodes; c++ {
+		toks, err := Lex(codeText[c])
+		if err != nil || toks[0].Kind != TokKeyword || toks[0].Code != c {
+			t.Errorf("Lex(%q) = %+v, %v; want keyword code %d", codeText[c], toks, err, c)
+		}
+	}
+	for _, w := range []string{"variable", "Var", "in2", "fo", "functions", "x"} {
+		if c := keyword(w); c != 0 {
+			t.Errorf("keyword(%q) = %v, want 0", w, c)
+		}
+	}
+}
+
+// TestTokenPacked guards the token layout: 32 bytes, so that a buffer of
+// len(src)/3 tokens costs under 11 bytes per source byte.
+func TestTokenPacked(t *testing.T) {
+	if n := unsafe.Sizeof(Token{}); n != 32 {
+		t.Errorf("Token is %d bytes, want 32", n)
 	}
 }
 
@@ -295,7 +321,10 @@ func TestParseTokenPoolSafety(t *testing.T) {
 var parseSink *Program
 
 // BenchmarkParseCorpus parses the scripts of the first 200 corpus pages:
-// the JavaScript front end's share of a cold detection run.
+// the JavaScript front end's share of a cold detection run. The warm arm
+// reuses pooled token buffers, as a sweep does; the cold arm lexes every
+// script into a fresh buffer, as a single detection in a new process or
+// after a GC has emptied the pool does.
 //
 //	go test -run '^$' -bench ParseCorpus -benchmem ./internal/js
 func BenchmarkParseCorpus(b *testing.B) {
@@ -304,16 +333,25 @@ func BenchmarkParseCorpus(b *testing.B) {
 	for _, src := range scripts {
 		bytes += len(src)
 	}
-	b.SetBytes(int64(bytes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, src := range scripts {
-			prog, err := Parse(src)
-			if err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name  string
+		parse func(string) (*Program, error)
+	}{
+		{"warm", Parse},
+		{"cold", func(src string) (*Program, error) { return parse(new([]Token), src) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.SetBytes(int64(bytes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range scripts {
+					prog, err := arm.parse(src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					parseSink = prog
+				}
 			}
-			parseSink = prog
-		}
+		})
 	}
 }

@@ -22,14 +22,25 @@ const maxPooledTokens = 1 << 16
 // anywhere wins over a parse error earlier in the script.
 func Parse(src string) (*Program, error) {
 	buf := tokenBufs.Get().(*[]Token)
+	defer releaseTokens(buf)
+	return parse(buf, src)
+}
+
+// parse is Parse lexing into *buf, which it leaves holding the tokens.
+func parse(buf *[]Token, src string) (*Program, error) {
+	if want := len(src)/3 + 16; cap(*buf) < want {
+		// Scripts run to about 0.29 tokens per byte (0.33 at most in
+		// the corpus), so a cold buffer sized here rarely grows.
+		*buf = make([]Token, 0, want)
+	}
 	toks, err := lex((*buf)[:0], src)
-	defer releaseTokens(buf, toks)
+	*buf = toks
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
 	prog := &Program{base: base{Line: 1}}
-	for !p.at(TokEOF) {
+	for !p.atKind(TokEOF) {
 		s, err := p.statement()
 		if err != nil {
 			return nil, err
@@ -40,9 +51,10 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// releaseTokens clears toks, dropping its references into the source,
-// and returns it to the pool as buf.
-func releaseTokens(buf *[]Token, toks []Token) {
+// releaseTokens clears the tokens in buf, dropping their references into
+// the source, and returns buf to the pool.
+func releaseTokens(buf *[]Token) {
+	toks := *buf
 	clear(toks)
 	if cap(toks) <= maxPooledTokens {
 		*buf = toks[:0]
@@ -55,49 +67,34 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) peek() Token { return p.toks[p.pos] }
+func (p *parser) peek() *Token { return &p.toks[p.pos] }
 
 // next consumes and returns the current token; it is sticky at EOF so that
 // error paths deep in the grammar can keep peeking safely.
-func (p *parser) next() Token {
-	t := p.toks[p.pos]
+func (p *parser) next() *Token {
+	t := &p.toks[p.pos]
 	if t.Kind != TokEOF {
 		p.pos++
 	}
 	return t
 }
-func (p *parser) line() int         { return p.peek().Line }
-func (p *parser) at(k TokKind) bool { return p.peek().Kind == k }
+func (p *parser) line() int             { return int(p.toks[p.pos].Line) }
+func (p *parser) atKind(k TokKind) bool { return p.toks[p.pos].Kind == k }
 
-func (p *parser) atPunct(s string) bool {
-	t := p.peek()
-	return t.Kind == TokPunct && t.Text == s
-}
+// at reports whether the current token is the punctuator or keyword c.
+func (p *parser) at(c Code) bool { return p.toks[p.pos].Code == c }
 
-func (p *parser) atKeyword(s string) bool {
-	t := p.peek()
-	return t.Kind == TokKeyword && t.Text == s
-}
-
-func (p *parser) eatPunct(s string) bool {
-	if p.atPunct(s) {
+func (p *parser) eat(c Code) bool {
+	if p.at(c) {
 		p.pos++
 		return true
 	}
 	return false
 }
 
-func (p *parser) eatKeyword(s string) bool {
-	if p.atKeyword(s) {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expectPunct(s string) error {
-	if !p.eatPunct(s) {
-		return p.errf("expected %q, found %s", s, p.peek())
+func (p *parser) expect(c Code) error {
+	if !p.eat(c) {
+		return p.errf("expected %q, found %s", codeText[c], p.peek())
 	}
 	return nil
 }
@@ -120,11 +117,11 @@ func (p *parser) errf(format string, args ...any) error {
 // expectSemi consumes a statement terminator with automatic semicolon
 // insertion: an explicit ';', or a following '}' / EOF / line break.
 func (p *parser) expectSemi() error {
-	if p.eatPunct(";") {
+	if p.eat(pSemi) {
 		return nil
 	}
 	t := p.peek()
-	if t.Kind == TokEOF || t.NewlineBefore || (t.Kind == TokPunct && t.Text == "}") {
+	if t.Kind == TokEOF || t.NewlineBefore || t.Code == pRBrace {
 		return nil
 	}
 	return p.errf("expected ';', found %s", t)
@@ -135,8 +132,8 @@ func (p *parser) expectSemi() error {
 func (p *parser) statement() (Stmt, error) {
 	t := p.peek()
 	if t.Kind == TokKeyword {
-		switch t.Text {
-		case "var":
+		switch t.Code {
+		case kVar:
 			s, err := p.varStatement()
 			if err != nil {
 				return nil, err
@@ -145,51 +142,51 @@ func (p *parser) statement() (Stmt, error) {
 				return nil, err
 			}
 			return s, nil
-		case "function":
+		case kFunction:
 			return p.funcDecl()
-		case "if":
+		case kIf:
 			return p.ifStatement()
-		case "while":
+		case kWhile:
 			return p.whileStatement()
-		case "do":
+		case kDo:
 			return p.doWhileStatement()
-		case "for":
+		case kFor:
 			return p.forStatement()
-		case "return":
+		case kReturn:
 			return p.returnStatement()
-		case "break":
+		case kBreak:
 			p.next()
-			s := &BreakStmt{base: base{Line: t.Line}, Label: p.optionalLabel()}
+			s := &BreakStmt{base: base{Line: int(t.Line)}, Label: p.optionalLabel()}
 			return s, p.expectSemi()
-		case "continue":
+		case kContinue:
 			p.next()
-			s := &ContinueStmt{base: base{Line: t.Line}, Label: p.optionalLabel()}
+			s := &ContinueStmt{base: base{Line: int(t.Line)}, Label: p.optionalLabel()}
 			return s, p.expectSemi()
-		case "throw":
+		case kThrow:
 			return p.throwStatement()
-		case "try":
+		case kTry:
 			return p.tryStatement()
-		case "switch":
+		case kSwitch:
 			return p.switchStatement()
 		}
 	}
-	if p.atPunct("{") {
+	if p.at(pLBrace) {
 		return p.block()
 	}
-	if p.atPunct(";") {
+	if p.at(pSemi) {
 		p.next()
-		return &EmptyStmt{base: base{Line: t.Line}}, nil
+		return &EmptyStmt{base: base{Line: int(t.Line)}}, nil
 	}
 	// Labeled statement: `name: stmt`.
 	if t.Kind == TokIdent && p.pos+1 < len(p.toks) &&
-		p.toks[p.pos+1].Kind == TokPunct && p.toks[p.pos+1].Text == ":" {
+		p.toks[p.pos+1].Code == pColon {
 		p.next() // label
 		p.next() // :
 		inner, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
-		return &LabeledStmt{base: base{Line: t.Line}, Label: t.Text, Stmt: inner}, nil
+		return &LabeledStmt{base: base{Line: int(t.Line)}, Label: t.Text, Stmt: inner}, nil
 	}
 	x, err := p.expression()
 	if err != nil {
@@ -198,7 +195,7 @@ func (p *parser) statement() (Stmt, error) {
 	if err := p.expectSemi(); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{base: base{Line: t.Line}, X: x}, nil
+	return &ExprStmt{base: base{Line: int(t.Line)}, X: x}, nil
 }
 
 // varStatement parses `var a = 1, b, c = 2` (without the terminator); a
@@ -209,12 +206,12 @@ func (p *parser) varStatement() (Stmt, error) {
 	p.next() // var
 	var decls []Stmt
 	for {
-		if !p.at(TokIdent) {
+		if !p.atKind(TokIdent) {
 			return nil, p.errf("expected variable name, found %s", p.peek())
 		}
 		name := p.next().Text
 		d := &VarDecl{base: base{Line: line}, Name: name}
-		if p.eatPunct("=") {
+		if p.eat(pAssign) {
 			init, err := p.assign()
 			if err != nil {
 				return nil, err
@@ -222,7 +219,7 @@ func (p *parser) varStatement() (Stmt, error) {
 			d.Init = init
 		}
 		decls = append(decls, d)
-		if !p.eatPunct(",") {
+		if !p.eat(pComma) {
 			break
 		}
 	}
@@ -235,7 +232,7 @@ func (p *parser) varStatement() (Stmt, error) {
 func (p *parser) funcDecl() (Stmt, error) {
 	line := p.line()
 	p.next() // function
-	if !p.at(TokIdent) {
+	if !p.atKind(TokIdent) {
 		return nil, p.errf("expected function name, found %s", p.peek())
 	}
 	name := p.next().Text
@@ -248,34 +245,34 @@ func (p *parser) funcDecl() (Stmt, error) {
 
 // funcRest parses the parameter list and body after `function [name]`.
 func (p *parser) funcRest(name string, line int) (*FuncLit, error) {
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(pLParen); err != nil {
 		return nil, err
 	}
 	var params []string
-	for !p.atPunct(")") {
-		if !p.at(TokIdent) {
+	for !p.at(pRParen) {
+		if !p.atKind(TokIdent) {
 			return nil, p.errf("expected parameter name, found %s", p.peek())
 		}
 		params = append(params, p.next().Text)
-		if !p.eatPunct(",") {
+		if !p.eat(pComma) {
 			break
 		}
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expect(pRParen); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expect(pLBrace); err != nil {
 		return nil, err
 	}
 	body := &Program{base: base{Line: p.line()}}
-	for !p.atPunct("}") && !p.at(TokEOF) {
+	for !p.at(pRBrace) && !p.atKind(TokEOF) {
 		s, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
 		body.Body = append(body.Body, s)
 	}
-	if err := p.expectPunct("}"); err != nil {
+	if err := p.expect(pRBrace); err != nil {
 		return nil, err
 	}
 	return &FuncLit{base: base{Line: line}, Name: name, Params: params, Body: body}, nil
@@ -283,31 +280,31 @@ func (p *parser) funcRest(name string, line int) (*FuncLit, error) {
 
 func (p *parser) block() (*BlockStmt, error) {
 	line := p.line()
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expect(pLBrace); err != nil {
 		return nil, err
 	}
 	b := &BlockStmt{base: base{Line: line}}
-	for !p.atPunct("}") && !p.at(TokEOF) {
+	for !p.at(pRBrace) && !p.atKind(TokEOF) {
 		s, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
 		b.Body = append(b.Body, s)
 	}
-	return b, p.expectPunct("}")
+	return b, p.expect(pRBrace)
 }
 
 func (p *parser) ifStatement() (Stmt, error) {
 	line := p.line()
 	p.next() // if
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(pLParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expect(pRParen); err != nil {
 		return nil, err
 	}
 	then, err := p.statement()
@@ -315,7 +312,7 @@ func (p *parser) ifStatement() (Stmt, error) {
 		return nil, err
 	}
 	s := &IfStmt{base: base{Line: line}, Cond: cond, Then: then}
-	if p.eatKeyword("else") {
+	if p.eat(kElse) {
 		s.Else, err = p.statement()
 		if err != nil {
 			return nil, err
@@ -327,14 +324,14 @@ func (p *parser) ifStatement() (Stmt, error) {
 func (p *parser) whileStatement() (Stmt, error) {
 	line := p.line()
 	p.next() // while
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(pLParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expect(pRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.statement()
@@ -351,73 +348,73 @@ func (p *parser) doWhileStatement() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.eatKeyword("while") {
+	if !p.eat(kWhile) {
 		return nil, p.errf("expected 'while' after do body")
 	}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(pLParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expect(pRParen); err != nil {
 		return nil, err
 	}
-	p.eatPunct(";")
+	p.eat(pSemi)
 	return &WhileStmt{base: base{Line: line}, Cond: cond, Body: body, DoWhile: true}, nil
 }
 
 func (p *parser) forStatement() (Stmt, error) {
 	line := p.line()
 	p.next() // for
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(pLParen); err != nil {
 		return nil, err
 	}
 	// Distinguish for-in from the three-clause form.
 	var init Stmt
-	if p.atKeyword("var") {
+	if p.at(kVar) {
 		s, err := p.varStatement()
 		if err != nil {
 			return nil, err
 		}
-		if d, ok := s.(*VarDecl); ok && d.Init == nil && p.atKeyword("in") {
+		if d, ok := s.(*VarDecl); ok && d.Init == nil && p.at(kIn) {
 			p.next() // in
 			return p.forInRest(line, d.Name)
 		}
 		init = s
-	} else if !p.atPunct(";") {
+	} else if !p.at(pSemi) {
 		x, err := p.expressionNoIn()
 		if err != nil {
 			return nil, err
 		}
-		if id, ok := x.(*Ident); ok && p.atKeyword("in") {
+		if id, ok := x.(*Ident); ok && p.at(kIn) {
 			p.next()
 			return p.forInRest(line, id.Name)
 		}
 		init = &ExprStmt{base: base{Line: line}, X: x}
 	}
-	if err := p.expectPunct(";"); err != nil {
+	if err := p.expect(pSemi); err != nil {
 		return nil, err
 	}
 	var cond, post Expr
 	var err error
-	if !p.atPunct(";") {
+	if !p.at(pSemi) {
 		cond, err = p.expression()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectPunct(";"); err != nil {
+	if err := p.expect(pSemi); err != nil {
 		return nil, err
 	}
-	if !p.atPunct(")") {
+	if !p.at(pRParen) {
 		post, err = p.expression()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expect(pRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.statement()
@@ -432,7 +429,7 @@ func (p *parser) forInRest(line int, name string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expect(pRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.statement()
@@ -447,7 +444,7 @@ func (p *parser) returnStatement() (Stmt, error) {
 	p.next() // return
 	s := &ReturnStmt{base: base{Line: line}}
 	t := p.peek()
-	if t.Kind != TokEOF && !t.NewlineBefore && !p.atPunct(";") && !p.atPunct("}") {
+	if t.Kind != TokEOF && !t.NewlineBefore && !p.at(pSemi) && !p.at(pRBrace) {
 		x, err := p.expression()
 		if err != nil {
 			return nil, err
@@ -475,15 +472,15 @@ func (p *parser) tryStatement() (Stmt, error) {
 		return nil, err
 	}
 	s := &TryStmt{base: base{Line: line}, Try: try}
-	if p.eatKeyword("catch") {
-		if err := p.expectPunct("("); err != nil {
+	if p.eat(kCatch) {
+		if err := p.expect(pLParen); err != nil {
 			return nil, err
 		}
-		if !p.at(TokIdent) {
+		if !p.atKind(TokIdent) {
 			return nil, p.errf("expected catch parameter, found %s", p.peek())
 		}
 		s.CatchVar = p.next().Text
-		if err := p.expectPunct(")"); err != nil {
+		if err := p.expect(pRParen); err != nil {
 			return nil, err
 		}
 		s.Catch, err = p.block()
@@ -491,7 +488,7 @@ func (p *parser) tryStatement() (Stmt, error) {
 			return nil, err
 		}
 	}
-	if p.eatKeyword("finally") {
+	if p.eat(kFinally) {
 		s.Finally, err = p.block()
 		if err != nil {
 			return nil, err
@@ -506,34 +503,34 @@ func (p *parser) tryStatement() (Stmt, error) {
 func (p *parser) switchStatement() (Stmt, error) {
 	line := p.line()
 	p.next() // switch
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(pLParen); err != nil {
 		return nil, err
 	}
 	x, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(")"); err != nil {
+	if err := p.expect(pRParen); err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expect(pLBrace); err != nil {
 		return nil, err
 	}
 	s := &SwitchStmt{base: base{Line: line}, X: x}
-	for !p.atPunct("}") && !p.at(TokEOF) {
+	for !p.at(pRBrace) && !p.atKind(TokEOF) {
 		var c SwitchCase
-		if p.eatKeyword("case") {
+		if p.eat(kCase) {
 			c.Test, err = p.expression()
 			if err != nil {
 				return nil, err
 			}
-		} else if !p.eatKeyword("default") {
+		} else if !p.eat(kDefault) {
 			return nil, p.errf("expected 'case' or 'default', found %s", p.peek())
 		}
-		if err := p.expectPunct(":"); err != nil {
+		if err := p.expect(pColon); err != nil {
 			return nil, err
 		}
-		for !p.atPunct("}") && !p.atKeyword("case") && !p.atKeyword("default") && !p.at(TokEOF) {
+		for !p.at(pRBrace) && !p.at(kCase) && !p.at(kDefault) && !p.atKind(TokEOF) {
 			st, err := p.statement()
 			if err != nil {
 				return nil, err
@@ -542,7 +539,7 @@ func (p *parser) switchStatement() (Stmt, error) {
 		}
 		s.Cases = append(s.Cases, c)
 	}
-	return s, p.expectPunct("}")
+	return s, p.expect(pRBrace)
 }
 
 // ---- expressions ----
@@ -557,11 +554,11 @@ func (p *parser) commaExpr(allowIn bool) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atPunct(",") {
+	if !p.at(pComma) {
 		return x, nil
 	}
 	seq := &SeqExpr{base: base{Line: line}, Exprs: []Expr{x}}
-	for p.eatPunct(",") {
+	for p.eat(pComma) {
 		e, err := p.assignIn(allowIn)
 		if err != nil {
 			return nil, err
@@ -573,9 +570,12 @@ func (p *parser) commaExpr(allowIn bool) (Expr, error) {
 
 func (p *parser) assign() (Expr, error) { return p.assignIn(true) }
 
-var assignOps = map[string]bool{
-	"=": true, "+=": true, "-=": true, "*=": true, "/=": true, "%=": true,
-	"&=": true, "|=": true, "^=": true, "<<=": true, ">>=": true,
+// assignOps maps each assignment operator to the binary operator it
+// applies: pAssign for plain "=", 0 for a code that is no assignment.
+var assignOps = [numCodes]Code{
+	pAssign: pAssign, pAddAssign: pAdd, pSubAssign: pSub, pMulAssign: pMul,
+	pDivAssign: pDiv, pModAssign: pMod, pAndAssign: pAnd, pOrAssign: pOr,
+	pXorAssign: pXor, pShlAssign: pShl, pShrAssign: pShr,
 }
 
 func (p *parser) assignIn(allowIn bool) (Expr, error) {
@@ -585,7 +585,7 @@ func (p *parser) assignIn(allowIn bool) (Expr, error) {
 		return nil, err
 	}
 	t := p.peek()
-	if t.Kind == TokPunct && assignOps[t.Text] {
+	if op := assignOps[t.Code]; op != 0 {
 		switch x.(type) {
 		case *Ident, *MemberExpr, *IndexExpr:
 		default:
@@ -596,7 +596,7 @@ func (p *parser) assignIn(allowIn bool) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AssignExpr{base: base{Line: line}, Op: t.Text, Target: x, Value: rhs}, nil
+		return &AssignExpr{base: base{Line: line}, Op: t.Text, Code: op, Target: x, Value: rhs}, nil
 	}
 	return x, nil
 }
@@ -607,14 +607,14 @@ func (p *parser) conditional(allowIn bool) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.eatPunct("?") {
+	if !p.eat(pQuestion) {
 		return cond, nil
 	}
 	then, err := p.assignIn(allowIn)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct(":"); err != nil {
+	if err := p.expect(pColon); err != nil {
 		return nil, err
 	}
 	els, err := p.assignIn(allowIn)
@@ -624,37 +624,30 @@ func (p *parser) conditional(allowIn bool) (Expr, error) {
 	return &CondExpr{base: base{Line: line}, Cond: cond, Then: then, Else: els}, nil
 }
 
-// binOps maps operator to precedence level (higher binds tighter).
-var binOps = map[string]int{
-	"||": 1, "&&": 2,
-	"|": 3, "^": 4, "&": 5,
-	"==": 6, "!=": 6, "===": 6, "!==": 6,
-	"<": 7, ">": 7, "<=": 7, ">=": 7, "in": 7, "instanceof": 7,
-	"<<": 8, ">>": 8, ">>>": 8,
-	"+": 9, "-": 9,
-	"*": 10, "/": 10, "%": 10,
+// binPrec is each binary operator's precedence level (higher binds
+// tighter); 0 marks a code that is no binary operator.
+var binPrec = [numCodes]int8{
+	pOrOr: 1, pAndAnd: 2,
+	pOr: 3, pXor: 4, pAnd: 5,
+	pEq: 6, pNe: 6, pStrictEq: 6, pStrictNe: 6,
+	pLt: 7, pGt: 7, pLe: 7, pGe: 7, kIn: 7, kInstanceof: 7,
+	pShl: 8, pShr: 8, pUshr: 8,
+	pAdd: 9, pSub: 9,
+	pMul: 10, pDiv: 10, pMod: 10,
 }
 
-func (p *parser) binary(minPrec int, allowIn bool) (Expr, error) {
+func (p *parser) binary(minPrec int8, allowIn bool) (Expr, error) {
 	x, err := p.unary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.peek()
-		var opText string
-		if t.Kind == TokPunct {
-			opText = t.Text
-		} else if t.Kind == TokKeyword && (t.Text == "in" || t.Text == "instanceof") {
-			if t.Text == "in" && !allowIn {
-				return x, nil
-			}
-			opText = t.Text
-		} else {
+		if t.Code == kIn && !allowIn {
 			return x, nil
 		}
-		prec, ok := binOps[opText]
-		if !ok || prec <= minPrec {
+		prec := binPrec[t.Code]
+		if prec <= minPrec {
 			return x, nil
 		}
 		p.next()
@@ -662,44 +655,31 @@ func (p *parser) binary(minPrec int, allowIn bool) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opText == "&&" || opText == "||" {
-			x = &LogicalExpr{base: base{Line: t.Line}, Op: opText, L: x, R: rhs}
+		if t.Code == pAndAnd || t.Code == pOrOr {
+			x = &LogicalExpr{base: base{Line: int(t.Line)}, Op: t.Text, Code: t.Code, L: x, R: rhs}
 		} else {
-			x = &BinaryExpr{base: base{Line: t.Line}, Op: opText, L: x, R: rhs}
+			x = &BinaryExpr{base: base{Line: int(t.Line)}, Op: t.Text, Code: t.Code, L: x, R: rhs}
 		}
 	}
 }
 
 func (p *parser) unary() (Expr, error) {
 	t := p.peek()
-	if t.Kind == TokPunct {
-		switch t.Text {
-		case "!", "-", "+", "~":
-			p.next()
-			x, err := p.unary()
-			if err != nil {
-				return nil, err
-			}
-			return &UnaryExpr{base: base{Line: t.Line}, Op: t.Text, X: x}, nil
-		case "++", "--":
-			p.next()
-			x, err := p.unary()
-			if err != nil {
-				return nil, err
-			}
-			return &UpdateExpr{base: base{Line: t.Line}, Op: t.Text, X: x, Prefix: true}, nil
+	switch t.Code {
+	case pNot, pSub, pAdd, pTilde, kTypeof, kVoid, kDelete:
+		p.next()
+		x, err := p.unary()
+		if err != nil {
+			return nil, err
 		}
-	}
-	if t.Kind == TokKeyword {
-		switch t.Text {
-		case "typeof", "void", "delete":
-			p.next()
-			x, err := p.unary()
-			if err != nil {
-				return nil, err
-			}
-			return &UnaryExpr{base: base{Line: t.Line}, Op: t.Text, X: x}, nil
+		return &UnaryExpr{base: base{Line: int(t.Line)}, Op: t.Text, Code: t.Code, X: x}, nil
+	case pInc, pDec:
+		p.next()
+		x, err := p.unary()
+		if err != nil {
+			return nil, err
 		}
+		return &UpdateExpr{base: base{Line: int(t.Line)}, Op: t.Text, Code: t.Code, X: x, Prefix: true}, nil
 	}
 	return p.postfix()
 }
@@ -710,9 +690,9 @@ func (p *parser) postfix() (Expr, error) {
 		return nil, err
 	}
 	t := p.peek()
-	if t.Kind == TokPunct && (t.Text == "++" || t.Text == "--") && !t.NewlineBefore {
+	if (t.Code == pInc || t.Code == pDec) && !t.NewlineBefore {
 		p.next()
-		return &UpdateExpr{base: base{Line: t.Line}, Op: t.Text, X: x, Prefix: false}, nil
+		return &UpdateExpr{base: base{Line: int(t.Line)}, Op: t.Text, Code: t.Code, X: x, Prefix: false}, nil
 	}
 	return x, nil
 }
@@ -720,7 +700,7 @@ func (p *parser) postfix() (Expr, error) {
 func (p *parser) callMember() (Expr, error) {
 	var x Expr
 	var err error
-	if p.atKeyword("new") {
+	if p.at(kNew) {
 		line := p.line()
 		p.next()
 		callee, err := p.memberOnly()
@@ -728,7 +708,7 @@ func (p *parser) callMember() (Expr, error) {
 			return nil, err
 		}
 		call := &CallExpr{base: base{Line: line}, Callee: callee, IsNew: true}
-		if p.atPunct("(") {
+		if p.at(pLParen) {
 			call.Args, err = p.arguments()
 			if err != nil {
 				return nil, err
@@ -743,25 +723,25 @@ func (p *parser) callMember() (Expr, error) {
 	}
 	for {
 		switch {
-		case p.atPunct("."):
+		case p.at(pDot):
 			p.next()
 			t := p.next()
 			if t.Kind != TokIdent && t.Kind != TokKeyword {
 				return nil, p.errf("expected property name, found %s", t)
 			}
-			x = &MemberExpr{base: base{Line: t.Line}, X: x, Name: t.Text}
-		case p.atPunct("["):
+			x = &MemberExpr{base: base{Line: int(t.Line)}, X: x, Name: t.Text}
+		case p.at(pLBrack):
 			line := p.line()
 			p.next()
 			idx, err := p.expression()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectPunct("]"); err != nil {
+			if err := p.expect(pRBrack); err != nil {
 				return nil, err
 			}
 			x = &IndexExpr{base: base{Line: line}, X: x, Idx: idx}
-		case p.atPunct("("):
+		case p.at(pLParen):
 			line := p.line()
 			args, err := p.arguments()
 			if err != nil {
@@ -783,21 +763,21 @@ func (p *parser) memberOnly() (Expr, error) {
 	}
 	for {
 		switch {
-		case p.atPunct("."):
+		case p.at(pDot):
 			p.next()
 			t := p.next()
 			if t.Kind != TokIdent && t.Kind != TokKeyword {
 				return nil, p.errf("expected property name, found %s", t)
 			}
-			x = &MemberExpr{base: base{Line: t.Line}, X: x, Name: t.Text}
-		case p.atPunct("["):
+			x = &MemberExpr{base: base{Line: int(t.Line)}, X: x, Name: t.Text}
+		case p.at(pLBrack):
 			line := p.line()
 			p.next()
 			idx, err := p.expression()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectPunct("]"); err != nil {
+			if err := p.expect(pRBrack); err != nil {
 				return nil, err
 			}
 			x = &IndexExpr{base: base{Line: line}, X: x, Idx: idx}
@@ -808,21 +788,21 @@ func (p *parser) memberOnly() (Expr, error) {
 }
 
 func (p *parser) arguments() ([]Expr, error) {
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect(pLParen); err != nil {
 		return nil, err
 	}
 	var args []Expr
-	for !p.atPunct(")") {
+	for !p.at(pRParen) {
 		a, err := p.assign()
 		if err != nil {
 			return nil, err
 		}
 		args = append(args, a)
-		if !p.eatPunct(",") {
+		if !p.eat(pComma) {
 			break
 		}
 	}
-	return args, p.expectPunct(")")
+	return args, p.expect(pRParen)
 }
 
 func (p *parser) primary() (Expr, error) {
@@ -830,59 +810,59 @@ func (p *parser) primary() (Expr, error) {
 	switch t.Kind {
 	case TokNumber:
 		p.next()
-		return &NumLit{base: base{Line: t.Line}, Value: t.Num}, nil
+		return &NumLit{base: base{Line: int(t.Line)}, Value: t.Num}, nil
 	case TokString:
 		p.next()
-		return &StrLit{base: base{Line: t.Line}, Value: t.Text}, nil
+		return &StrLit{base: base{Line: int(t.Line)}, Value: t.Text}, nil
 	case TokIdent:
 		p.next()
-		return &Ident{base: base{Line: t.Line}, Name: t.Text}, nil
+		return &Ident{base: base{Line: int(t.Line)}, Name: t.Text}, nil
 	case TokKeyword:
-		switch t.Text {
-		case "true", "false":
+		switch t.Code {
+		case kTrue, kFalse:
 			p.next()
-			return &BoolLit{base: base{Line: t.Line}, Value: t.Text == "true"}, nil
-		case "null":
+			return &BoolLit{base: base{Line: int(t.Line)}, Value: t.Code == kTrue}, nil
+		case kNull:
 			p.next()
-			return &NullLit{base: base{Line: t.Line}}, nil
-		case "undefined":
+			return &NullLit{base: base{Line: int(t.Line)}}, nil
+		case kUndefined:
 			p.next()
-			return &UndefinedLit{base: base{Line: t.Line}}, nil
-		case "this":
+			return &UndefinedLit{base: base{Line: int(t.Line)}}, nil
+		case kThis:
 			p.next()
-			return &ThisLit{base: base{Line: t.Line}}, nil
-		case "function":
+			return &ThisLit{base: base{Line: int(t.Line)}}, nil
+		case kFunction:
 			p.next()
 			name := ""
-			if p.at(TokIdent) {
+			if p.atKind(TokIdent) {
 				name = p.next().Text
 			}
-			return p.funcRest(name, t.Line)
+			return p.funcRest(name, int(t.Line))
 		}
 	case TokPunct:
-		switch t.Text {
-		case "(":
+		switch t.Code {
+		case pLParen:
 			p.next()
 			x, err := p.expression()
 			if err != nil {
 				return nil, err
 			}
-			return x, p.expectPunct(")")
-		case "[":
+			return x, p.expect(pRParen)
+		case pLBrack:
 			p.next()
-			arr := &ArrayLit{base: base{Line: t.Line}}
-			for !p.atPunct("]") {
+			arr := &ArrayLit{base: base{Line: int(t.Line)}}
+			for !p.at(pRBrack) {
 				e, err := p.assign()
 				if err != nil {
 					return nil, err
 				}
 				arr.Elems = append(arr.Elems, e)
-				if !p.eatPunct(",") {
+				if !p.eat(pComma) {
 					break
 				}
 			}
-			return arr, p.expectPunct("]")
-		case "{":
+			return arr, p.expect(pRBrack)
+		case pLBrace:
 			return p.objectLit()
 		}
 	}
@@ -893,7 +873,7 @@ func (p *parser) objectLit() (Expr, error) {
 	line := p.line()
 	p.next() // {
 	obj := &ObjectLit{base: base{Line: line}}
-	for !p.atPunct("}") {
+	for !p.at(pRBrace) {
 		t := p.next()
 		var key string
 		switch t.Kind {
@@ -904,7 +884,7 @@ func (p *parser) objectLit() (Expr, error) {
 		default:
 			return nil, p.errf("expected property key, found %s", t)
 		}
-		if err := p.expectPunct(":"); err != nil {
+		if err := p.expect(pColon); err != nil {
 			return nil, err
 		}
 		v, err := p.assign()
@@ -913,11 +893,11 @@ func (p *parser) objectLit() (Expr, error) {
 		}
 		obj.Keys = append(obj.Keys, key)
 		obj.Vals = append(obj.Vals, v)
-		if !p.eatPunct(",") {
+		if !p.eat(pComma) {
 			break
 		}
 	}
-	return obj, p.expectPunct("}")
+	return obj, p.expect(pRBrace)
 }
 
 func trimNum(f float64) string {

@@ -34,12 +34,14 @@ const (
 )
 
 // Token is one lexical token. For TokPunct and TokKeyword, Text is the
-// operator or keyword itself.
+// operator or keyword itself and Code its integer identity. The fields
+// are ordered to pack a token into 32 bytes.
 type Token struct {
-	Kind TokKind
 	Text string
 	Num  float64
-	Line int
+	Line int32
+	Kind TokKind
+	Code Code
 	// NewlineBefore marks a line break between the previous token and
 	// this one (consulted for semicolon insertion).
 	NewlineBefore bool
@@ -58,31 +60,188 @@ func (t Token) String() string {
 	}
 }
 
-var keywords = map[string]bool{
-	"var": true, "function": true, "return": true, "if": true, "else": true,
-	"while": true, "do": true, "for": true, "in": true, "break": true,
-	"continue": true, "true": true, "false": true, "null": true,
-	"undefined": true, "new": true, "typeof": true, "this": true,
-	"throw": true, "try": true, "catch": true, "finally": true,
-	"delete": true, "instanceof": true, "void": true, "switch": true,
-	"case": true, "default": true,
+// Code is the integer identity of a punctuator or keyword; every other
+// token has code 0. The parser compares codes instead of text, and the
+// operator nodes carry the code the evaluator switches on.
+type Code uint8
+
+// Punctuator codes, longest punctuator first (greedy matching relies on
+// the order), then keyword codes.
+const (
+	_ Code = iota
+	pStrictEq
+	pStrictNe
+	pUshr
+	pShlAssign
+	pShrAssign
+	pEq
+	pNe
+	pLe
+	pGe
+	pAndAnd
+	pOrOr
+	pInc
+	pDec
+	pAddAssign
+	pSubAssign
+	pMulAssign
+	pDivAssign
+	pModAssign
+	pAndAssign
+	pOrAssign
+	pXorAssign
+	pShl
+	pShr
+	pLBrace
+	pRBrace
+	pLParen
+	pRParen
+	pLBrack
+	pRBrack
+	pSemi
+	pComma
+	pLt
+	pGt
+	pAdd
+	pSub
+	pMul
+	pDiv
+	pMod
+	pAssign
+	pNot
+	pQuestion
+	pColon
+	pDot
+	pAnd
+	pOr
+	pXor
+	pTilde
+
+	kVar
+	kFunction
+	kReturn
+	kIf
+	kElse
+	kWhile
+	kDo
+	kFor
+	kIn
+	kBreak
+	kContinue
+	kTrue
+	kFalse
+	kNull
+	kUndefined
+	kNew
+	kTypeof
+	kThis
+	kThrow
+	kTry
+	kCatch
+	kFinally
+	kDelete
+	kInstanceof
+	kVoid
+	kSwitch
+	kCase
+	kDefault
+
+	numCodes
+)
+
+// codeText is the source text of every code.
+var codeText = [numCodes]string{
+	pStrictEq: "===", pStrictNe: "!==", pUshr: ">>>", pShlAssign: "<<=", pShrAssign: ">>=",
+	pEq: "==", pNe: "!=", pLe: "<=", pGe: ">=", pAndAnd: "&&", pOrOr: "||", pInc: "++", pDec: "--",
+	pAddAssign: "+=", pSubAssign: "-=", pMulAssign: "*=", pDivAssign: "/=", pModAssign: "%=",
+	pAndAssign: "&=", pOrAssign: "|=", pXorAssign: "^=", pShl: "<<", pShr: ">>",
+	pLBrace: "{", pRBrace: "}", pLParen: "(", pRParen: ")", pLBrack: "[", pRBrack: "]",
+	pSemi: ";", pComma: ",", pLt: "<", pGt: ">", pAdd: "+", pSub: "-", pMul: "*", pDiv: "/",
+	pMod: "%", pAssign: "=", pNot: "!", pQuestion: "?", pColon: ":", pDot: ".", pAnd: "&",
+	pOr: "|", pXor: "^", pTilde: "~",
+
+	kVar: "var", kFunction: "function", kReturn: "return", kIf: "if", kElse: "else",
+	kWhile: "while", kDo: "do", kFor: "for", kIn: "in", kBreak: "break",
+	kContinue: "continue", kTrue: "true", kFalse: "false", kNull: "null",
+	kUndefined: "undefined", kNew: "new", kTypeof: "typeof", kThis: "this",
+	kThrow: "throw", kTry: "try", kCatch: "catch", kFinally: "finally",
+	kDelete: "delete", kInstanceof: "instanceof", kVoid: "void", kSwitch: "switch",
+	kCase: "case", kDefault: "default",
 }
 
-// punctuators, longest first, matched greedily.
-var puncts = []string{
-	"===", "!==", ">>>", "<<=", ">>=",
-	"==", "!=", "<=", ">=", "&&", "||", "++", "--",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
-	"{", "}", "(", ")", "[", "]", ";", ",", "<", ">", "+", "-", "*", "/",
-	"%", "=", "!", "?", ":", ".", "&", "|", "^", "~",
+// String returns the code's source text ("" for code 0).
+func (c Code) String() string { return codeText[c] }
+
+// keyword returns the code of word if it is a keyword, else 0.
+func keyword(word string) Code {
+	switch word {
+	case "var":
+		return kVar
+	case "function":
+		return kFunction
+	case "return":
+		return kReturn
+	case "if":
+		return kIf
+	case "else":
+		return kElse
+	case "while":
+		return kWhile
+	case "do":
+		return kDo
+	case "for":
+		return kFor
+	case "in":
+		return kIn
+	case "break":
+		return kBreak
+	case "continue":
+		return kContinue
+	case "true":
+		return kTrue
+	case "false":
+		return kFalse
+	case "null":
+		return kNull
+	case "undefined":
+		return kUndefined
+	case "new":
+		return kNew
+	case "typeof":
+		return kTypeof
+	case "this":
+		return kThis
+	case "throw":
+		return kThrow
+	case "try":
+		return kTry
+	case "catch":
+		return kCatch
+	case "finally":
+		return kFinally
+	case "delete":
+		return kDelete
+	case "instanceof":
+		return kInstanceof
+	case "void":
+		return kVoid
+	case "switch":
+		return kSwitch
+	case "case":
+		return kCase
+	case "default":
+		return kDefault
+	}
+	return 0
 }
 
-// punctsByByte indexes puncts by first byte; each entry keeps the
-// longest-first order, so matchPunct tries only the candidates that can
-// match.
-var punctsByByte = func() (t [256][]string) {
-	for _, p := range puncts {
-		t[p[0]] = append(t[p[0]], p)
+// punctsByByte indexes the punctuator codes by first byte; each entry
+// keeps the longest-first order, so matchPunct tries only the candidates
+// that can match.
+var punctsByByte = func() (t [256][]Code) {
+	for c := pStrictEq; c <= pTilde; c++ {
+		p := codeText[c]
+		t[p[0]] = append(t[p[0]], c)
 	}
 	return t
 }()
@@ -138,7 +297,7 @@ func lex(toks []Token, src string) ([]Token, error) {
 			if err != nil {
 				return toks, err
 			}
-			toks = append(toks, Token{Kind: TokString, Text: s, Line: line, NewlineBefore: newline})
+			toks = append(toks, Token{Kind: TokString, Text: s, Line: int32(line), NewlineBefore: newline})
 			newline = false
 			i += n
 		case c >= '0' && c <= '9' || c == '.' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9':
@@ -146,7 +305,7 @@ func lex(toks []Token, src string) ([]Token, error) {
 			if err != nil {
 				return toks, err
 			}
-			toks = append(toks, Token{Kind: TokNumber, Num: num, Line: line, NewlineBefore: newline})
+			toks = append(toks, Token{Kind: TokNumber, Num: num, Line: int32(line), NewlineBefore: newline})
 			newline = false
 			i += n
 		case isIdentStart(c):
@@ -155,23 +314,24 @@ func lex(toks []Token, src string) ([]Token, error) {
 				i++
 			}
 			word := src[start:i]
-			kind := TokIdent
-			if keywords[word] {
+			kind, code := TokIdent, keyword(word)
+			if code != 0 {
 				kind = TokKeyword
 			}
-			toks = append(toks, Token{Kind: kind, Text: word, Line: line, NewlineBefore: newline})
+			toks = append(toks, Token{Kind: kind, Code: code, Text: word, Line: int32(line), NewlineBefore: newline})
 			newline = false
 		default:
-			p := matchPunct(src[i:])
-			if p == "" {
+			code := matchPunct(src[i:])
+			if code == 0 {
 				return toks, &SyntaxError{Line: line, Msg: fmt.Sprintf("unexpected character %q", c)}
 			}
-			toks = append(toks, Token{Kind: TokPunct, Text: p, Line: line, NewlineBefore: newline})
+			p := codeText[code]
+			toks = append(toks, Token{Kind: TokPunct, Code: code, Text: p, Line: int32(line), NewlineBefore: newline})
 			newline = false
 			i += len(p)
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Line: line, NewlineBefore: newline})
+	toks = append(toks, Token{Kind: TokEOF, Line: int32(line), NewlineBefore: newline})
 	return toks, nil
 }
 
@@ -279,15 +439,15 @@ func lexNumber(src string, line int) (float64, int, error) {
 	return v, i, nil
 }
 
-// matchPunct returns the longest punctuator at the start of the
-// non-empty src, or "" if none starts there.
-func matchPunct(src string) string {
-	for _, p := range punctsByByte[src[0]] {
-		if strings.HasPrefix(src, p) {
-			return p
+// matchPunct returns the code of the longest punctuator at the start of
+// the non-empty src, or 0 if none starts there.
+func matchPunct(src string) Code {
+	for _, c := range punctsByByte[src[0]] {
+		if strings.HasPrefix(src, codeText[c]) {
+			return c
 		}
 	}
-	return ""
+	return 0
 }
 
 func isIdentStart(c byte) bool {

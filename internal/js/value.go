@@ -208,17 +208,21 @@ type HostObject interface {
 // wrapper.
 type Object struct {
 	Serial  uint64
-	Class   string // "Object", "Array", "Function", or a host class
-	Props   map[string]Value
-	keys    []string // insertion order of Props
-	Elems   []Value  // array storage
+	Class   string           // "Object", "Array", "Function", or a host class
+	Props   map[string]Value // nil until the first SetProp
+	keys    []string         // insertion order of Props
+	Elems   []Value          // array storage
 	IsArray bool
 	Fn      *Closure
 	Host    HostObject
 }
 
 // SetProp stores a property without instrumentation (callers instrument).
+// An object gets its property map with its first property.
 func (o *Object) SetProp(name string, v Value) {
+	if o.Props == nil {
+		o.Props = make(map[string]Value)
+	}
 	if _, ok := o.Props[name]; !ok {
 		o.keys = append(o.keys, name)
 	}
@@ -291,10 +295,15 @@ type Closure struct {
 	Self *Object
 }
 
-// Env is a runtime scope: the global scope or one function activation.
+// Env is a runtime scope: the global scope, one function activation or
+// one catch block. A function or catch scope holds its bindings in slots
+// laid out at parse time (see Scope and Addr); only the global scope maps
+// names, because windows define globals at run time.
 type Env struct {
 	parent *Env
-	vars   map[string]*Binding
+	slots  []Binding
+	scope  *Scope              // slot names; nil for the global scope
+	vars   map[string]*Binding // the global scope's bindings
 	// GlobalSerial is non-zero on the global env: the identity used for
 	// global variable locations.
 	GlobalSerial uint64
@@ -309,47 +318,42 @@ func (e *Env) BindThis(v Value) {
 	e.hasThis = true
 }
 
-// Binding is one variable slot. Shared bindings (captured locals) carry a
-// Slot identity used in their memory location.
+// Binding is one variable. A captured local carries a non-zero Serial,
+// the identity its memory location is named by; only those locals are
+// instrumented.
 type Binding struct {
 	Value  Value
-	Shared bool
-	Slot   uint64
+	Serial uint64
 }
 
-// NewEnv returns a child scope of parent.
-func NewEnv(parent *Env) *Env {
-	return &Env{parent: parent, vars: make(map[string]*Binding)}
+// newEnv returns a child scope of parent laid out as scope, every slot
+// undefined.
+func newEnv(parent *Env, scope *Scope) *Env {
+	return &Env{parent: parent, slots: make([]Binding, len(scope.Names)), scope: scope}
 }
 
 // IsGlobal reports whether e is a global scope.
 func (e *Env) IsGlobal() bool { return e.GlobalSerial != 0 }
 
-// Lookup finds the binding and its defining env, walking outward.
-func (e *Env) Lookup(name string) (*Binding, *Env) {
-	for env := e; env != nil; env = env.parent {
-		if b, ok := env.vars[name]; ok {
-			return b, env
-		}
+// binding finds the binding at address at from e and the scope holding
+// it. A global that is not defined yet comes back nil, with the root.
+func (e *Env) binding(at Addr, name string) (*Binding, *Env) {
+	for h := at.Hops; h > 0; h-- {
+		e = e.parent
 	}
-	return nil, nil
+	if at.Slot >= 0 {
+		return &e.slots[at.Slot], e
+	}
+	return e.vars[name], e
 }
 
-// Global returns the outermost env.
-func (e *Env) Global() *Env {
-	g := e
-	for g.parent != nil {
-		g = g.parent
-	}
-	return g
-}
-
-// Declare creates (or returns existing) binding in this exact scope.
-func (e *Env) Declare(name string, shared bool, slot uint64) *Binding {
+// declareGlobal creates (or returns the existing) global binding name in
+// the global scope e.
+func (e *Env) declareGlobal(name string) *Binding {
 	if b, ok := e.vars[name]; ok {
 		return b
 	}
-	b := &Binding{Value: Undefined, Shared: shared, Slot: slot}
+	b := &Binding{}
 	e.vars[name] = b
 	return b
 }

@@ -92,15 +92,17 @@ type Fetcher interface {
 // Loader is the plain Fetcher: every registered resource succeeds with a
 // latency drawn from the seeded distribution.
 type Loader struct {
-	site    *Site
-	lat     Latency
+	site *Site
+	lat  Latency
+	seed int64
+	// rng draws the latencies; it is seeded on the first fetch.
 	rng     *rand.Rand
 	fetches int
 }
 
 // New creates a loader over site with the given latency model and seed.
 func New(site *Site, lat Latency, seed int64) *Loader {
-	return &Loader{site: site, lat: lat, rng: rand.New(rand.NewSource(seed))}
+	return &Loader{site: site, lat: lat, seed: seed}
 }
 
 // LoadDir reads every regular file under dir into a Site, keyed by its
@@ -168,6 +170,9 @@ func (e *ErrNotFound) Error() string { return fmt.Sprintf("loader: resource %q n
 // pages reference decor images that only matter for their load events.
 func (l *Loader) Fetch(url string) Response {
 	l.fetches++
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
 	lat := l.lat.Base + l.rng.Float64()*l.lat.Jitter
 	if over, ok := l.lat.PerURL[url]; ok {
 		lat = over

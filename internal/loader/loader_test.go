@@ -2,6 +2,7 @@ package loader
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -159,5 +160,18 @@ func TestSiteBuilder(t *testing.T) {
 	l := New(site, DefaultLatency(), 1)
 	if l.Site() != site {
 		t.Error("Site accessor")
+	}
+}
+
+// TestFetchLatencySequence: the latency source, seeded on the first
+// fetch, draws the seed's sequence from its first value.
+func TestFetchLatencySequence(t *testing.T) {
+	site := NewSite("t").Add("a.js", "x = 1;")
+	l := New(site, Latency{Base: 5, Jitter: 75}, 42)
+	want := rand.New(rand.NewSource(42))
+	for i := 0; i < 3; i++ {
+		if got, w := l.Fetch("a.js").Latency, 5+want.Float64()*75; got != w {
+			t.Fatalf("fetch %d latency %v, want %v", i, got, w)
+		}
 	}
 }

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestRequestBodyLimit413: a body over MaxBodyBytes is refused with 413
@@ -25,6 +28,42 @@ func TestRequestBodyLimit413(t *testing.T) {
 	}
 	if resp, _ := post(t, ts, "/v1/detect", `{"site":`+racySite+`}`); resp.StatusCode != 200 {
 		t.Fatal("under-limit request refused")
+	}
+}
+
+// TestReadBodySized: readBody returns what io.ReadAll returns for any
+// declared length, true, unknown or over the cap, and one byte at a
+// time; with a true length it allocates its buffer once.
+func TestReadBodySized(t *testing.T) {
+	const max = 2048
+	for _, size := range []int{0, 1, 511, 512, 513, 2048, 4096} {
+		data := bytes.Repeat([]byte("ab"), size)[:size]
+		for _, n := range []int64{int64(size), -1, max + 1, int64(size) + 7} {
+			for _, slow := range []bool{false, true} {
+				var r io.Reader = bytes.NewReader(data)
+				if slow {
+					r = iotest.OneByteReader(r)
+				}
+				got, err := readBody(r, n, max)
+				if err != nil || !bytes.Equal(got, data) {
+					t.Errorf("size %d, declared %d, slow %v: %d bytes, %v", size, n, slow, len(got), err)
+				}
+			}
+		}
+	}
+	data := bytes.Repeat([]byte("x"), 1500)
+	r := bytes.NewReader(data)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(data)
+		if _, err := readBody(r, int64(len(data)), max); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("sized read of %d bytes allocates %v times, want 1", len(data), allocs)
+	}
+	if _, err := readBody(iotest.ErrReader(errors.New("boom")), 10, max); err == nil {
+		t.Error("read error lost")
 	}
 }
 

@@ -469,7 +469,7 @@ func (rt *Router) forwardOnce(b *backendState, path, key string, raw []byte, att
 		return forwardResult{}, true, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp.Body, resp.ContentLength, rt.local.cfg.MaxBodyBytes)
 	if err != nil {
 		return forwardResult{}, true, err
 	}
@@ -682,7 +682,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, hr *http.Request) {
 			rt.cRetries.Inc()
 			continue
 		}
-		body, rerr := io.ReadAll(resp.Body)
+		body, rerr := readBody(resp.Body, resp.ContentLength, rt.local.cfg.MaxBodyBytes)
 		resp.Body.Close()
 		cancel()
 		if rerr != nil || resp.StatusCode >= 500 {

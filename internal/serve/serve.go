@@ -293,7 +293,7 @@ func (s *Server) post(kind jobKind) http.HandlerFunc {
 // returned alongside the decoded request so the router can forward a
 // body verbatim instead of re-marshaling it.
 func readRequest(w http.ResponseWriter, hr *http.Request, limit int64) (*Request, []byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, hr.Body, limit))
+	raw, err := readBody(http.MaxBytesReader(w, hr.Body, limit), hr.ContentLength, limit)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -318,6 +318,31 @@ func readRequest(w http.ResponseWriter, hr *http.Request, limit int64) (*Request
 		return nil, nil, false
 	}
 	return &req, raw, true
+}
+
+// readBody reads r to EOF like io.ReadAll. When the declared length n is
+// known and at most max, it reads into a buffer of that size instead of
+// growing one from 512 bytes; a larger or unknown length grows as
+// io.ReadAll does, so a false Content-Length cannot make it allocate more
+// than max up front.
+func readBody(r io.Reader, n, max int64) ([]byte, error) {
+	if n < 0 || n > max {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, 0, n+1) // +1: the read that reports EOF needs room
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // submit routes a resolved request: cache hit, coalesce onto an in-flight
