@@ -51,14 +51,17 @@ predictive:
 	go run ./cmd/experiments -predictive
 
 # Sampled-tier battery under the Go race detector: the rate-1 exactness
-# and subset/monotonicity unit layer, the corpus differential (subset at
-# every rate, byte identity at rate 1), worker-count determinism, the
+# and subset/monotonicity unit layer, the shadow-table oracle battery
+# (the sampled core query for query against the exact map-based detector
+# on admitted locations, and its tier counters against the
+# certificate-free reference), the corpus differential (subset at every
+# rate, byte identity at rate 1), worker-count determinism, the
 # escalation contract, the tiering API validation tests, the serve-layer
 # tier tests (capability endpoint, default tier, cache cross-population),
 # and the pinned sampled metrics golden. The E11 table reprints the
 # cost/recall trade.
 sampled:
-	go test -race -run 'TestSampled|TestDifferentialSampled|TestConfigValidate|TestDetectorKindRoundTrip|TestWithConfigDelegation|TestRunPanics|TestGoldenMetricsSampled|TestPackEpoch' . ./internal/race/ ./internal/hb/
+	go test -race -run 'TestSampled|TestDifferentialSampled|TestConfigValidate|TestDetectorKindRoundTrip|TestWithConfigDelegation|TestRunPanics|TestGoldenMetricsSampled|TestShadowMatchesMapOracles' . ./internal/race/
 	go test -race -run 'TestSampled|TestDetectors|TestEscalation|TestDefaultDetector' ./internal/serve/
 	go run ./cmd/experiments -sampled
 
@@ -109,7 +112,7 @@ linkcheck:
 # Where `make bench` writes its machine-readable summary.
 BENCH_OUT ?= BENCH_pr7.json
 
-# The detector/replay benchmarks (the E4 speedup battery, the E11
+# The detector/replay benchmarks (the E4 graph and epoch arms, the E11
 # sampled-tier arms and the per-run floor), repeated BENCH_COUNT times so
 # scripts/benchcmp.sh can bound the noise. The -json stream is rendered
 # back to the usual text on stdout while scripts/benchjson.sh distills it

@@ -13,7 +13,6 @@ import (
 
 	"webracer/internal/hb"
 	"webracer/internal/loader"
-	"webracer/internal/mem"
 	"webracer/internal/race"
 	"webracer/internal/report"
 	"webracer/internal/sitegen"
@@ -148,83 +147,7 @@ func BenchmarkDetectorGraph(b *testing.B) {
 	b.ReportMetric(float64(races), "races")
 }
 
-// preEpochPairwise replicates the detector as it stood before the epoch
-// rewrite (git history: three map[mem.Loc]Access tables, a full struct
-// store per access, no reported-location early exit). Together with
-// hb.NewDenseClocks it reconstructs the complete pre-epoch vector-clock
-// analysis path, which is the baseline the ISSUE's speedup criterion names.
-// Report semantics are identical — the benchmarks assert equal race counts.
-type preEpochPairwise struct {
-	oracle    hb.Oracle
-	lastRead  map[mem.Loc]race.Access
-	lastWrite map[mem.Loc]race.Access
-	reported  map[mem.Loc]bool
-	reports   []race.Report
-}
-
-func newPreEpochPairwise(o hb.Oracle) *preEpochPairwise {
-	return &preEpochPairwise{
-		oracle:    o,
-		lastRead:  make(map[mem.Loc]race.Access),
-		lastWrite: make(map[mem.Loc]race.Access),
-		reported:  make(map[mem.Loc]bool),
-	}
-}
-
-func (d *preEpochPairwise) OnAccess(a race.Access) {
-	switch a.Kind {
-	case mem.Read:
-		if w, ok := d.lastWrite[a.Loc]; ok && d.oracle.Concurrent(w.Op, a.Op) {
-			d.report(w, a, false)
-		}
-		d.lastRead[a.Loc] = a
-	case mem.Write:
-		readFirst := false
-		if r, ok := d.lastRead[a.Loc]; ok && r.Op == a.Op {
-			readFirst = true
-		}
-		if w, ok := d.lastWrite[a.Loc]; ok && d.oracle.Concurrent(w.Op, a.Op) {
-			d.report(w, a, readFirst)
-		}
-		if r, ok := d.lastRead[a.Loc]; ok && r.Op != a.Op && d.oracle.Concurrent(r.Op, a.Op) {
-			d.report(r, a, readFirst)
-		}
-		d.lastWrite[a.Loc] = a
-	}
-}
-
-func (d *preEpochPairwise) report(prior, cur race.Access, writerReadFirst bool) {
-	if d.reported[cur.Loc] {
-		return
-	}
-	d.reported[cur.Loc] = true
-	d.reports = append(d.reports, race.Report{
-		Loc: cur.Loc, Prior: prior, Current: cur, WriterReadFirst: writerReadFirst,
-	})
-}
-
-func (d *preEpochPairwise) Reports() []race.Report { return d.reports }
-
-// BenchmarkDetectorVCDense is E4's second arm: the pre-epoch vector-clock
-// analysis path (eager full-width clock per operation, map-of-structs
-// detector state, construction included) — the baseline the epoch fast
-// path is measured against.
-func BenchmarkDetectorVCDense(b *testing.B) {
-	results := recordedCorpus(b)
-	b.ResetTimer()
-	races := 0
-	for i := 0; i < b.N; i++ {
-		races = 0
-		for _, res := range results {
-			clocks := hb.NewDenseClocks(res.Browser.HB)
-			d := newPreEpochPairwise(clocks)
-			races += len(race.Replay(res.Browser.Trace(), d))
-		}
-	}
-	b.ReportMetric(float64(races), "races")
-}
-
-// BenchmarkDetectorVCEpoch is E4's third arm: the epoch-optimized
+// BenchmarkDetectorVCEpoch is E4's second arm: the epoch-optimized
 // vector-clock representation (lazy chains, certificates, on-demand clock
 // materialization), construction included.
 func BenchmarkDetectorVCEpoch(b *testing.B) {
@@ -244,11 +167,9 @@ func BenchmarkDetectorVCEpoch(b *testing.B) {
 }
 
 // BenchmarkDetectorSampled is the tier battery's cost arm (E11): the
-// sampled shadow-word detector at the default rate over the same recorded
-// traces as the E4 arms, construction included. The ISSUE's allocation
-// criterion compares its allocs/op against BenchmarkDetectorLiveVC — the
-// flat shadow array plus the location index are the only steady-state
-// state, so the gap is large by design.
+// Pairwise core behind the sampler's admission predicate, at the default
+// rate, over the same recorded traces as the E4 arms, construction
+// included. Rejected locations cost one table word and no check.
 func BenchmarkDetectorSampled(b *testing.B) {
 	results := recordedCorpus(b)
 	b.ResetTimer()
@@ -336,32 +257,14 @@ func BenchmarkDetectorRunCorpusCold(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayVC measures the public ReplayVC entry point and reports
-// its speedup over the pre-epoch dense path on the same recorded traces
-// (the ISSUE's ≥2x acceptance criterion). Race counts of the two arms are
-// asserted identical.
+// BenchmarkReplayVC measures the public ReplayVC entry point on the
+// recorded traces and asserts its race count equals the graph replay's.
 func BenchmarkReplayVC(b *testing.B) {
 	results := recordedCorpus(b)
-	replayDense := func() (time.Duration, int) {
-		start := time.Now()
-		races := 0
-		for _, res := range results {
-			clocks := hb.NewDenseClocks(res.Browser.HB)
-			d := newPreEpochPairwise(clocks)
-			races += len(race.Replay(res.Browser.Trace(), d))
-		}
-		return time.Since(start), races
+	want := 0
+	for _, res := range results {
+		want += len(race.Replay(res.Browser.Trace(), race.NewPairwise(res.Browser.HB)))
 	}
-	// Time the pre-epoch baseline (mean of three runs, matching the
-	// mean-over-iterations the measured arm reports).
-	var denseTime time.Duration
-	var denseRaces int
-	for r := 0; r < 3; r++ {
-		dt, dr := replayDense()
-		denseTime += dt
-		denseRaces = dr
-	}
-	denseTime /= 3
 	b.ResetTimer()
 	races := 0
 	for i := 0; i < b.N; i++ {
@@ -371,12 +274,8 @@ func BenchmarkReplayVC(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if races != denseRaces {
-		b.Fatalf("epoch path found %d races, dense path %d", races, denseRaces)
-	}
-	epochPer := b.Elapsed() / time.Duration(b.N)
-	if epochPer > 0 {
-		b.ReportMetric(float64(denseTime)/float64(epochPer), "speedup-vs-dense")
+	if races != want {
+		b.Fatalf("ReplayVC found %d races, the graph replay %d", races, want)
 	}
 	b.ReportMetric(float64(races), "races")
 }

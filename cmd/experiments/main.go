@@ -92,7 +92,10 @@ func main() {
 		runPerf(*seed)
 	}
 	if *ablate || all {
-		runAblation(*seed, *sites)
+		if err := runAblation(*seed, *sites); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
 	}
 	if *exts || all {
 		runExtensions(*seed, *sites)
@@ -347,11 +350,11 @@ func runPerf(seed int64) {
 }
 
 // runAblation compares happens-before representations on the recorded
-// corpus traces (E4): the paper's graph reachability, the pre-epoch dense
-// vector clocks (one eagerly built full-width clock per operation), and
-// the epoch-optimized vector clocks (lazy chain coordinates, clock
-// vectors materialized only for genuinely shared locations).
-func runAblation(seed int64, n int) {
+// corpus traces (E4): the paper's graph reachability and the
+// epoch-optimized vector clocks (lazy chain coordinates, clock vectors
+// materialized only for genuinely shared locations). The two
+// representations must find the same races; an error says they did not.
+func runAblation(seed int64, n int) error {
 	if n > 30 {
 		n = 30 // traces are memory-hungry; a slice of the corpus suffices
 	}
@@ -361,14 +364,12 @@ func runAblation(seed int64, n int) {
 		return sitegen.Generate(sitegen.SpecFor(seed, i))
 	}, cfg)
 	// The representations are also compared at §6 scale: wide pages with
-	// thousands of operations across hundreds of handler tasks, where the
-	// pre-epoch eager construction dominates analysis time.
+	// thousands of operations across hundreds of handler tasks.
 	results = append(results, webracer.RunCorpus(4, func(i int) *loader.Site {
 		return sitegen.Generate(sitegen.StressSpec(i))
 	}, cfg)...)
-	var graphTime, denseTime, epochTime time.Duration
-	graphRaces, denseRaces, epochRaces := 0, 0, 0
-	graphBytes, denseBytes, epochBytes := 0, 0, 0
+	graphRaces, epochRaces := 0, 0
+	graphBytes, epochBytes := 0, 0
 	ops, mats := 0, 0
 	for _, res := range results {
 		ops += res.Ops
@@ -380,23 +381,13 @@ func runAblation(seed int64, n int) {
 		d := race.NewPairwise(res.Browser.HB)
 		graphRaces += len(race.Replay(res.Browser.Trace(), d))
 	}
-	graphTime = time.Since(t0)
+	graphTime := time.Since(t0)
 	for _, res := range results {
 		graphBytes += res.Browser.HB.MemoryBytes()
 	}
 
 	runtime.GC()
 	t1 := time.Now()
-	for _, res := range results {
-		dense := hb.NewDenseClocks(res.Browser.HB)
-		d := race.NewPairwise(dense)
-		denseRaces += len(race.Replay(res.Browser.Trace(), d))
-		denseBytes += dense.MemoryBytes()
-	}
-	denseTime = time.Since(t1)
-
-	runtime.GC()
-	t2 := time.Now()
 	for _, res := range results {
 		trace := res.Browser.Trace()
 		clocks := hb.NewClocks(res.Browser.HB)
@@ -405,24 +396,18 @@ func runAblation(seed int64, n int) {
 		epochBytes += clocks.MemoryBytes()
 		mats += clocks.MaterializedClocks()
 	}
-	epochTime = time.Since(t2)
+	epochTime := time.Since(t1)
 
 	fmt.Printf("== E4 ablation: happens-before representation (replay over %d recorded sites) ==\n", len(results))
 	fmt.Printf("graph reachability:  %v, %d races, %s of memoized closures\n",
 		graphTime.Round(time.Millisecond), graphRaces, kb(graphBytes))
-	fmt.Printf("dense vector clocks: %v, %d races, %s of eager clocks (pre-epoch baseline)\n",
-		denseTime.Round(time.Millisecond), denseRaces, kb(denseBytes))
 	fmt.Printf("epoch vector clocks: %v, %d races, %s of clocks, %d of %d ops materialized\n",
 		epochTime.Round(time.Millisecond), epochRaces, kb(epochBytes), mats, ops)
-	if epochTime > 0 {
-		fmt.Printf("epoch speedup: %.2fx vs dense construction+replay, clock memory %s -> %s\n",
-			float64(denseTime)/float64(epochTime), kb(denseBytes), kb(epochBytes))
-	}
-	if graphRaces != denseRaces || graphRaces != epochRaces {
-		fmt.Fprintf(os.Stderr, "WARNING: representations disagree (graph %d, dense %d, epoch %d)\n",
-			graphRaces, denseRaces, epochRaces)
-	}
 	fmt.Println()
+	if graphRaces != epochRaces {
+		return fmt.Errorf("E4: representations disagree (graph %d races, epoch %d)", graphRaces, epochRaces)
+	}
+	return nil
 }
 
 // runFaults is E8: deterministic fault injection over the fault corpus.

@@ -20,7 +20,6 @@ type Oracle interface {
 var (
 	_ Oracle = (*Graph)(nil)
 	_ Oracle = (*Clocks)(nil)
-	_ Oracle = (*DenseClocks)(nil)
 )
 
 // Epoch is an operation's coordinate in the chain decomposition: the pair
@@ -69,8 +68,11 @@ var (
 // future work (§5.2.1), in its epoch-optimized form. Construction is O(n)
 // bookkeeping: chain assignment and clock materialization are inherited
 // lazily from the LiveClocks engine, so a replay that only ever compares
-// same-chain operations never allocates a single clock vector. Compare
-// DenseClocks, the pre-epoch eager form kept as the E4 ablation baseline.
+// same-chain operations never allocates a single clock vector.
+//
+// Clocks stays a type of its own, read-only, rather than a LiveClocks:
+// the snapshot shares the graph's adjacency lists, so exposing
+// LiveClocks' Edge or AddNode on it would write into the graph.
 type Clocks struct {
 	lc LiveClocks
 }
@@ -84,19 +86,27 @@ type Clocks struct {
 // the same front door. The snapshot shares g's adjacency (it never adds
 // edges of its own).
 func NewClocks(g *Graph) *Clocks {
+	// A snapshot adds no nodes or edges of its own, so the adjacency lists
+	// are shared with the graph rather than copied.
 	n := g.Len()
-	c := &Clocks{}
-	for i := 1; i <= n; i++ {
-		for _, p := range g.preds[i-1] {
-			if p >= op.ID(i) {
-				panic(fmt.Sprintf("hb: edge %d→%d violates topological ID order", p, i))
+	return snapshot(g, g.preds[:n:n], g.succs[:n:n])
+}
+
+// snapshot checks g's topological-ID invariant and wraps finished
+// adjacency lists over g's operations (g's own, or a subset of its edges)
+// as a Clocks whose epochs and clocks are all still to be computed.
+func snapshot(g *Graph, preds, succs [][]op.ID) *Clocks {
+	for i, ps := range g.preds {
+		for _, p := range ps {
+			if int(p) > i {
+				panic(fmt.Sprintf("hb: edge %d→%d violates topological ID order", p, i+1))
 			}
 		}
 	}
-	// A snapshot adds no nodes or edges of its own, so the adjacency lists
-	// are shared with the graph rather than copied.
-	c.lc.preds = g.preds[:n:n]
-	c.lc.succs = g.succs[:n:n]
+	n := len(preds)
+	c := &Clocks{}
+	c.lc.preds = preds
+	c.lc.succs = succs
 	c.lc.pos = make([]int32, n)
 	c.lc.clock = make([][]int32, n)
 	c.lc.chain = make([]int32, n)
@@ -139,106 +149,3 @@ func (c *Clocks) MaterializedClocks() int { return c.lc.MaterializedClocks() }
 
 // MemoryBytes estimates the memory held by materialized clocks.
 func (c *Clocks) MemoryBytes() int { return c.lc.MemoryBytes() }
-
-// DenseClocks is the pre-epoch vector-clock representation: one eagerly
-// built full-width clock per operation, O(n·c) construction with a fresh
-// allocation per join. It answers exactly the same relation as Clocks and
-// exists as the baseline arm of the E4 ablation (and BenchmarkReplayVC),
-// quantifying what the epoch fast path buys.
-type DenseClocks struct {
-	chain []int32   // chain index of ID(i+1)
-	pos   []int32   // position of ID(i+1) within its chain
-	clock [][]int32 // clock[i][c] = max position on chain c ordered ≤ ID(i+1)
-	n     int
-}
-
-// NewDenseClocks builds the dense representation of g (see NewClocks for
-// the topological-order requirement).
-func NewDenseClocks(g *Graph) *DenseClocks {
-	n := g.Len()
-	c := &DenseClocks{
-		chain: make([]int32, n),
-		pos:   make([]int32, n),
-		clock: make([][]int32, n),
-		n:     n,
-	}
-	chainTail := []op.ID{} // tail op of each chain
-	for i := 0; i < n; i++ {
-		id := op.ID(i + 1)
-		preds := g.Preds(id)
-		// Pick a chain: reuse a predecessor's chain if that
-		// predecessor is still its chain's tail.
-		ci := int32(-1)
-		for _, p := range preds {
-			if p >= id {
-				panic(fmt.Sprintf("hb: edge %d→%d violates topological ID order", p, id))
-			}
-			pc := c.chain[p-1]
-			if chainTail[pc] == p {
-				ci = pc
-				break
-			}
-		}
-		if ci < 0 {
-			ci = int32(len(chainTail))
-			chainTail = append(chainTail, op.None)
-		}
-		c.chain[i] = ci
-		if chainTail[ci] == op.None {
-			c.pos[i] = 0
-		} else {
-			c.pos[i] = c.pos[chainTail[ci]-1] + 1
-		}
-		chainTail[ci] = id
-		// Clock = join of predecessor clocks, then tick own chain.
-		clk := make([]int32, len(chainTail))
-		for j := range clk {
-			clk[j] = -1
-		}
-		for _, p := range preds {
-			for j, v := range c.clock[p-1] {
-				if v > clk[j] {
-					clk[j] = v
-				}
-			}
-		}
-		clk[ci] = c.pos[i]
-		c.clock[i] = clk
-	}
-	return c
-}
-
-// Chains reports how many chains the decomposition produced.
-func (c *DenseClocks) Chains() int {
-	if c.n == 0 {
-		return 0
-	}
-	return len(c.clock[c.n-1])
-}
-
-// HappensBefore reports a ⇝ b.
-func (c *DenseClocks) HappensBefore(a, b op.ID) bool {
-	if a == b || a == op.None || b == op.None || int(a) > c.n || int(b) > c.n {
-		return false
-	}
-	ca := c.chain[a-1]
-	clk := c.clock[b-1]
-	return int(ca) < len(clk) && clk[ca] >= c.pos[a-1]
-}
-
-// Concurrent reports CHC(a, b).
-func (c *DenseClocks) Concurrent(a, b op.ID) bool {
-	if a == op.None || b == op.None || a == b {
-		return false
-	}
-	return !c.HappensBefore(a, b) && !c.HappensBefore(b, a)
-}
-
-// MemoryBytes estimates the memory held by the eager clock table.
-func (c *DenseClocks) MemoryBytes() int {
-	total := 0
-	for _, clk := range c.clock {
-		total += len(clk) * 4
-	}
-	return total
-}

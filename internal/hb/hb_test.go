@@ -357,31 +357,6 @@ func TestClocksChains(t *testing.T) {
 	}
 }
 
-// TestDenseClocksEquivalence: the pre-epoch eager representation (the E4
-// baseline) answers exactly the same relation as the graph.
-func TestDenseClocksEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 3 + r.Intn(40)
-		g := randomDAG(r, n, 0.1+r.Float64()*0.3)
-		c := NewDenseClocks(g)
-		for a := op.ID(1); int(a) <= n; a++ {
-			for b := op.ID(1); int(b) <= n; b++ {
-				if g.HappensBefore(a, b) != c.HappensBefore(a, b) {
-					return false
-				}
-				if g.Concurrent(a, b) != c.Concurrent(a, b) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestEpochOrderingProperty pins the EpochOracle contract on random DAGs:
 // OrderedEpoch(Epoch(a), b) ≡ HappensBefore(a, b) ∨ a = b, for both the
 // snapshot and the incremental engine.

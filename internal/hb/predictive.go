@@ -1,10 +1,6 @@
 package hb
 
-import (
-	"fmt"
-
-	"webracer/internal/op"
-)
+import "webracer/internal/op"
 
 // NewPredictiveClocks builds the vector-clock view of g's *predictive*
 // partial order P: the transitive closure of the strong (causal) edges
@@ -29,24 +25,11 @@ func NewPredictiveClocks(g *Graph) *Clocks {
 	for i := 1; i <= n; i++ {
 		id := op.ID(i)
 		for _, p := range g.preds[i-1] {
-			if p >= id {
-				panic(fmt.Sprintf("hb: edge %d→%d violates topological ID order", p, id))
+			if !g.IsWeak(p, id) {
+				preds[i-1] = append(preds[i-1], p)
+				succs[p-1] = append(succs[p-1], id)
 			}
-			if g.IsWeak(p, id) {
-				continue
-			}
-			preds[i-1] = append(preds[i-1], p)
-			succs[p-1] = append(succs[p-1], id)
 		}
 	}
-	c := &Clocks{}
-	c.lc.preds = preds
-	c.lc.succs = succs
-	c.lc.pos = make([]int32, n)
-	c.lc.clock = make([][]int32, n)
-	c.lc.chain = make([]int32, n)
-	for i := range c.lc.chain {
-		c.lc.chain[i] = -1
-	}
-	return c
+	return snapshot(g, preds, succs)
 }

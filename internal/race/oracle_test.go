@@ -2,9 +2,13 @@ package race
 
 // Test-only oracles: the map-based Pairwise, Sampled and AccessSet as they
 // stood before the detectors moved onto the shared shadow table
-// (shadow.go). The equivalence tests replay one access stream through a
-// detector and its oracle and require identical oracle queries, reports,
-// counters and state counts.
+// (shadow.go), and before Sampled became the Pairwise core behind an
+// admission predicate. The equivalence tests replay one access stream
+// through a detector and its oracle and require identical oracle queries,
+// reports, counters and state counts. A Sampled detector is checked two
+// ways: query for query against mapPairwise fed only the accesses its
+// sampler admits, and against mapSampled, the certificate-free tier, on
+// everything but how certificate hits split its counters.
 
 import (
 	"fmt"
@@ -76,9 +80,7 @@ func newMapPairwise(o hb.Oracle, opts ...Option) *mapPairwise {
 		block:     hint,
 		reportAll: cfg.reportAll,
 	}
-	if eo, ok := o.(hb.EpochOracle); ok && !cfg.noEpochs {
-		d.epochs = eo
-	}
+	d.epochs, _ = o.(hb.EpochOracle)
 	return d
 }
 
@@ -433,9 +435,7 @@ func newMapSampled(o hb.Oracle, rate float64, seed int64, opts ...Option) *mapSa
 		// top bit to float64 conversion. Monotone in rate by construction.
 		d.threshold = uint64(rate*(1<<32)) << 32
 	}
-	if eo, ok := o.(hb.EpochOracle); ok && !cfg.noEpochs {
-		d.epochs = eo
-	}
+	d.epochs, _ = o.(hb.EpochOracle)
 	return d
 }
 
@@ -449,12 +449,18 @@ func (d *mapSampled) Stats() SampledStats { return d.stats }
 // subset; rejected locations cost one map entry and no shadow word).
 func (d *mapSampled) States() int { return len(d.shadow) }
 
-// admit decides a first-seen location's fate: hash it against the
-// threshold and assign either a fresh shadow index or mapSkipIndex. This is
-// the only place the detector allocates after warm-up tails off.
+// admits is the sampling predicate: hash the location against the
+// threshold.
+func (d *mapSampled) admits(l mem.Loc) bool {
+	return d.sampleAll || locHash(d.seed, l) < d.threshold
+}
+
+// admit decides a first-seen location's fate: assign either a fresh shadow
+// index or mapSkipIndex. This is the only place the detector allocates
+// after warm-up tails off.
 func (d *mapSampled) admit(l mem.Loc) int32 {
 	d.stats.Locations++
-	if !d.sampleAll && locHash(d.seed, l) >= d.threshold {
+	if !d.admits(l) {
 		d.index[l] = mapSkipIndex
 		return mapSkipIndex
 	}
@@ -500,7 +506,7 @@ func (d *mapSampled) OnAccess(a Access) {
 			d.hit(s, s.write, a, false)
 		}
 		s.read = a
-		s.readEp = hb.PackEpoch(ce)
+		s.readEp = packEpoch(ce)
 		s.flags |= mswHasRead
 	case mem.Write:
 		readFirst := s.flags&mswHasRead != 0 && s.read.Op == a.Op
@@ -511,7 +517,7 @@ func (d *mapSampled) OnAccess(a Access) {
 			d.hit(s, s.read, a, readFirst)
 		}
 		s.write = a
-		s.writeEp = hb.PackEpoch(ce)
+		s.writeEp = packEpoch(ce)
 		s.flags |= mswHasWrite
 	}
 }
@@ -544,7 +550,7 @@ func (d *mapSampled) concurrentPacked(s *mapShadowWord, prior Access, pe *uint64
 			d.stats.VectorChecks++
 			return d.oracle.Concurrent(prior.Op, cur)
 		}
-		*pe = hb.PackEpoch(p)
+		*pe = packEpoch(p)
 	}
 	if ce.Chain == epochUnfetched.Chain {
 		*ce = d.epochs.Epoch(cur)
@@ -553,7 +559,7 @@ func (d *mapSampled) concurrentPacked(s *mapShadowWord, prior Access, pe *uint64
 		d.stats.VectorChecks++
 		return d.oracle.Concurrent(prior.Op, cur)
 	}
-	p := hb.UnpackEpoch(*pe)
+	p := unpackEpoch(*pe)
 	if p.Chain == ce.Chain {
 		// Same chain ⇒ totally ordered, whichever direction.
 		d.stats.EpochHits++
@@ -565,6 +571,17 @@ func (d *mapSampled) concurrentPacked(s *mapShadowWord, prior Access, pe *uint64
 	}
 	return !d.epochs.OrderedEpoch(*ce, prior.Op)
 }
+
+// packEpoch squeezes a coordinate into one word, chain biased by one so 0
+// means "not fetched"; unpackEpoch reverses it.
+func packEpoch(e hb.Epoch) uint64 {
+	if e.Chain < 0 {
+		return 0
+	}
+	return uint64(uint32(e.Chain+1))<<32 | uint64(uint32(e.Pos))
+}
+
+func unpackEpoch(w uint64) hb.Epoch { return hb.Epoch{Chain: int32(w>>32) - 1, Pos: int32(uint32(w))} }
 
 // hit records a race at a sampled location, with Pairwise's
 // one-report-per-location default.
@@ -658,40 +675,56 @@ func logged(o hb.Oracle) (hb.Oracle, *queryLog) {
 }
 
 // variant is one detector configuration: build returns the shadow-table
-// detector and its map-based oracle over the given oracles.
+// detector and its map-based oracle over the given oracles. Sampled
+// variants also have ref, which builds the certificate-free reference
+// their tier view is checked against.
 type variant struct {
 	name  string
 	build func(got, want hb.Oracle) (Detector, Detector)
+	ref   func(o hb.Oracle) *mapSampled
+}
+
+// admittedOnly is mapPairwise fed only the accesses sampler admits: what
+// Sampled's core must match query for query.
+type admittedOnly struct {
+	*mapPairwise
+	sampler *mapSampled
+}
+
+// OnAccess implements Detector.
+func (d admittedOnly) OnAccess(a Access) {
+	if d.sampler.admits(a.Loc) {
+		d.mapPairwise.OnAccess(a)
+	}
 }
 
 // variants lists every detector configuration the equivalence battery
 // covers: Pairwise and Sampled (rates 0.1, 0.25 and 1) with and without
-// ReportAll and WithoutEpochs, and AccessSet with and without OnePerLoc.
+// ReportAll, and AccessSet with and without OnePerLoc.
 func variants() []variant {
 	var vs []variant
 	for _, reportAll := range []bool{false, true} {
-		for _, noEpochs := range []bool{false, true} {
-			var opts []Option
-			name := ""
-			if reportAll {
-				opts, name = append(opts, ReportAll()), name+"/all"
-			}
-			if noEpochs {
-				opts, name = append(opts, WithoutEpochs()), name+"/noepochs"
-			}
-			vs = append(vs, variant{"pairwise" + name, func(g, w hb.Oracle) (Detector, Detector) {
-				return NewPairwise(g, opts...), newMapPairwise(w, opts...)
-			}})
-			for _, rate := range []float64{0.1, 0.25, 1} {
-				vs = append(vs, variant{fmt.Sprintf("sampled%g%s", rate, name), func(g, w hb.Oracle) (Detector, Detector) {
-					return NewSampled(g, rate, 5, opts...), newMapSampled(w, rate, 5, opts...)
-				}})
-			}
+		var opts []Option
+		name := ""
+		if reportAll {
+			opts, name = append(opts, ReportAll()), "/all"
+		}
+		vs = append(vs, variant{name: "pairwise" + name, build: func(g, w hb.Oracle) (Detector, Detector) {
+			return NewPairwise(g, opts...), newMapPairwise(w, opts...)
+		}})
+		for _, rate := range []float64{0.1, 0.25, 1} {
+			vs = append(vs, variant{
+				name: fmt.Sprintf("sampled%g%s", rate, name),
+				build: func(g, w hb.Oracle) (Detector, Detector) {
+					return NewSampled(g, rate, 5, opts...), admittedOnly{newMapPairwise(w, opts...), newMapSampled(nil, rate, 5)}
+				},
+				ref: func(o hb.Oracle) *mapSampled { return newMapSampled(o, rate, 5, opts...) },
+			})
 		}
 	}
 	vs = append(vs,
-		variant{"accessset", func(g, w hb.Oracle) (Detector, Detector) { return NewAccessSet(g), newMapAccessSet(w) }},
-		variant{"accessset/oneperloc", func(g, w hb.Oracle) (Detector, Detector) {
+		variant{name: "accessset", build: func(g, w hb.Oracle) (Detector, Detector) { return NewAccessSet(g), newMapAccessSet(w) }},
+		variant{name: "accessset/oneperloc", build: func(g, w hb.Oracle) (Detector, Detector) {
 			return NewAccessSet(g, OnePerLoc()), newMapAccessSet(w, OnePerLoc())
 		}},
 	)
@@ -699,17 +732,17 @@ func variants() []variant {
 }
 
 // summary is what a detector exposes besides its reports: counters and
-// state counts.
+// state counts. A Sampled detector is summarized as its Pairwise core.
 func summary(d Detector) string {
 	switch d := d.(type) {
 	case *Pairwise:
 		return fmt.Sprintf("%+v states=%d", d.Stats(), d.States())
+	case *Sampled:
+		return summary(&d.Pairwise)
 	case *mapPairwise:
 		return fmt.Sprintf("%+v states=%d", d.Stats(), d.States())
-	case *Sampled:
-		return fmt.Sprintf("%+v states=%d rate=%g", d.Stats(), d.States(), d.Rate())
-	case *mapSampled:
-		return fmt.Sprintf("%+v states=%d rate=%g", d.Stats(), d.States(), d.Rate())
+	case admittedOnly:
+		return summary(d.mapPairwise)
 	}
 	return ""
 }
@@ -728,6 +761,30 @@ func sameRun(t *testing.T, name string, got, want Detector, gotLog, wantLog []qu
 	}
 	if gs, ws := summary(got), summary(want); gs != ws {
 		t.Fatalf("%s: summary differs:\ngot:  %s\nwant: %s", name, gs, ws)
+	}
+}
+
+// sameView fails t unless a Sampled detector's tier view agrees with the
+// certificate-free reference: the same reports, rate, state count and
+// counters, except that certificate hits may move checks from
+// VectorChecks to EpochHits (never the other way). On a plain oracle,
+// where there are no certificates, the counters must be equal outright.
+func sameView(t *testing.T, name string, got Detector, ref *mapSampled) {
+	t.Helper()
+	d := got.(*Sampled)
+	gr, wr := d.Reports(), ref.Reports()
+	if i := firstDiff(gr, wr); i >= 0 {
+		t.Fatalf("%s: report %d of %d/%d differs from the reference:\ngot:  %+v\nwant: %+v", name, i, len(gr), len(wr), at(gr, i), at(wr, i))
+	}
+	gs, ws := d.Stats(), ref.Stats()
+	checks := func(s SampledStats) SampledStats {
+		s.EpochHits, s.VectorChecks = s.EpochHits+s.VectorChecks, 0
+		return s
+	}
+	if checks(gs) != checks(ws) || gs.VectorChecks > ws.VectorChecks || d.epochs == nil && gs != ws ||
+		d.States() != ref.States() || d.Rate() != ref.Rate() {
+		t.Fatalf("%s: tier view differs from the reference:\ngot:  %+v states=%d rate=%g\nwant: %+v states=%d rate=%g",
+			name, gs, d.States(), d.Rate(), ws, ref.States(), ref.Rate())
 	}
 }
 
@@ -763,7 +820,8 @@ func liveOf(g *hb.Graph) *hb.LiveClocks {
 // CheckReplayEquivalence replays trace through every variant and its
 // map-based oracle over the graph, Clocks and LiveClocks forms of g,
 // each detector over an oracle of its own, and fails t on the first
-// difference in queries, reports, counters or state counts.
+// difference in queries, reports, counters or state counts, or, for a
+// sampled variant, in its tier view against the reference.
 func CheckReplayEquivalence(t *testing.T, name string, trace []Access, g *hb.Graph) {
 	t.Helper()
 	oracles := []struct {
@@ -782,6 +840,11 @@ func CheckReplayEquivalence(t *testing.T, name string, trace []Access, g *hb.Gra
 			Replay(trace, got)
 			Replay(trace, want)
 			sameRun(t, name+"/"+o.name+"/"+v.name, got, want, lg.log, lw.log)
+			if v.ref != nil {
+				ref := v.ref(o.mk())
+				Replay(trace, ref)
+				sameView(t, name+"/"+o.name+"/"+v.name, got, ref)
+			}
 		}
 	}
 }
@@ -804,6 +867,7 @@ type lockPair struct {
 	name            string
 	got, want       Detector
 	gotLog, wantLog *queryLog
+	ref             *mapSampled // sampled variants only
 }
 
 // NewLockstep returns a Lockstep over every variant, querying live.
@@ -813,7 +877,11 @@ func NewLockstep(t *testing.T, name string, live *hb.LiveClocks) *Lockstep {
 		og, lg := logged(live)
 		ow, lw := logged(live)
 		got, want := v.build(og, ow)
-		l.pairs = append(l.pairs, lockPair{name: v.name, got: got, want: want, gotLog: lg, wantLog: lw})
+		p := lockPair{name: v.name, got: got, want: want, gotLog: lg, wantLog: lw}
+		if v.ref != nil {
+			p.ref = v.ref(live)
+		}
+		l.pairs = append(l.pairs, p)
 	}
 	return l
 }
@@ -829,6 +897,9 @@ func (l *Lockstep) OnAccess(a Access) {
 				l.name, p.name, l.accesses, i, at(p.gotLog.log, i), at(p.wantLog.log, i))
 		}
 		p.gotLog.log, p.wantLog.log = p.gotLog.log[:0], p.wantLog.log[:0]
+		if p.ref != nil {
+			p.ref.OnAccess(a)
+		}
 	}
 }
 
@@ -837,10 +908,14 @@ func (l *Lockstep) OnAccess(a Access) {
 func (l *Lockstep) Reports() []Report { return slices.Clone(l.pairs[0].got.Reports()) }
 
 // Check fails t unless both sides of every variant ended with the same
-// reports, counters and state counts.
+// reports, counters and state counts, and every sampled variant's tier
+// view agrees with its reference.
 func (l *Lockstep) Check() {
 	l.t.Helper()
 	for _, p := range l.pairs {
 		sameRun(l.t, l.name+"/"+p.name, p.got, p.want, nil, nil)
+		if p.ref != nil {
+			sameView(l.t, l.name+"/"+p.name, p.got, p.ref)
+		}
 	}
 }

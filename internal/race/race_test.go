@@ -350,22 +350,6 @@ func TestCrossChainForcesVectors(t *testing.T) {
 	}
 }
 
-// TestWithoutEpochsOptOut: the ablation option forces the plain path even
-// over an epoch-capable oracle.
-func TestWithoutEpochsOptOut(t *testing.T) {
-	g := chainGraph([2]op.ID{1, 2})
-	live := liveFor(g, 2)
-	d := NewPairwise(live, WithoutEpochs())
-	d.OnAccess(wr(loc("x"), 1))
-	d.OnAccess(wr(loc("x"), 2))
-	if len(d.Reports()) != 0 {
-		t.Fatalf("ordered writes raced: %v", d.Reports())
-	}
-	if st := d.Stats(); st.EpochHits != 0 {
-		t.Errorf("opt-out still took %d epoch hits", st.EpochHits)
-	}
-}
-
 // TestDetectorSoundnessProperty: on random executions, no detector ever
 // reports a pair that the happens-before orders, and every pairwise report
 // is also found by AccessSet.

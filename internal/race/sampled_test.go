@@ -46,7 +46,7 @@ func randomTrace(rng *rand.Rand, n, nLocs, accesses int) []Access {
 // TestSampledFullRateEqualsPairwise is the tier's exactness anchor: at
 // rate 1 the sampled detector's reports must equal the pairwise
 // detector's, report for report, on random traces over random DAGs —
-// with both the packed epoch path and the plain-oracle fallback.
+// on both the epoch path and the plain-oracle path.
 func TestSampledFullRateEqualsPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -63,7 +63,7 @@ func TestSampledFullRateEqualsPairwise(t *testing.T) {
 			plain.OnAccess(a)
 		}
 		want := pw.Reports()
-		for name, got := range map[string][]Report{"packed": sm.Reports(), "plain": plain.Reports()} {
+		for name, got := range map[string][]Report{"epoch": sm.Reports(), "plain": plain.Reports()} {
 			if len(got) != len(want) {
 				t.Fatalf("trial %d (%s): %d reports, pairwise has %d", trial, name, len(got), len(want))
 			}

@@ -62,7 +62,8 @@ func randomAccess(rng *rand.Rand, locs []mem.Loc, n, i int) Access {
 // TestShadowMatchesMapOracles: on random traces over random DAGs, every
 // detector variant issues the same oracle queries and returns the same
 // reports, counters and state counts as its map-based predecessor, over
-// the graph, Clocks and LiveClocks oracles.
+// the graph, Clocks and LiveClocks oracles; every sampled variant's tier
+// view also matches the certificate-free reference.
 func TestShadowMatchesMapOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
@@ -80,8 +81,9 @@ func TestShadowMatchesMapOracles(t *testing.T) {
 // TestShadowMatchesMapOraclesLateEdges: edges arrive between accesses,
 // many of them into operations the detectors already queried, so the live
 // oracle invalidates cached epochs and bumps its generation. Each
-// detector and its map-based oracle query a LiveClocks of their own, fed
-// the same edges at the same points.
+// detector, its map-based oracle and (for sampled variants) the
+// certificate-free reference query a LiveClocks of their own, fed the
+// same edges at the same points.
 func TestShadowMatchesMapOraclesLateEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	bumped := 0
@@ -102,23 +104,34 @@ func TestShadowMatchesMapOraclesLateEdges(t *testing.T) {
 			}
 		}
 		for _, v := range variants() {
-			lives := [2]*hb.LiveClocks{hb.NewLiveClocks(), hb.NewLiveClocks()}
+			lives := [3]*hb.LiveClocks{hb.NewLiveClocks(), hb.NewLiveClocks(), hb.NewLiveClocks()}
 			og, lg := logged(lives[0])
 			ow, lw := logged(lives[1])
 			got, want := v.build(og, ow)
+			var ref *mapSampled
+			if v.ref != nil {
+				ref = v.ref(lives[2])
+			}
 			for _, live := range lives {
 				live.AddNode(op.ID(n))
 			}
 			for _, s := range steps {
 				if s.edge[0] != 0 {
-					lives[0].Edge(s.edge[0], s.edge[1])
-					lives[1].Edge(s.edge[0], s.edge[1])
+					for _, live := range lives {
+						live.Edge(s.edge[0], s.edge[1])
+					}
 					continue
 				}
 				got.OnAccess(s.access)
 				want.OnAccess(s.access)
+				if ref != nil {
+					ref.OnAccess(s.access)
+				}
 			}
 			sameRun(t, fmt.Sprintf("trial%d/%s", trial, v.name), got, want, lg.log, lw.log)
+			if ref != nil {
+				sameView(t, fmt.Sprintf("trial%d/%s", trial, v.name), got, ref)
+			}
 			if lives[0].Gen() > 0 {
 				bumped++
 			}

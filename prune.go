@@ -305,9 +305,8 @@ func isWordByte(c byte) bool {
 // replayDetector builds the detector a class representative's trace is
 // replayed through — the same algorithm the live run would have used,
 // instantiated over the finished graph. For pairwise-vc that is the
-// batch vector-clock oracle (hb.NewClocks), exactly ReplayVC's
-// configuration; the replay-equals-live invariant is pinned by the
-// differential battery.
+// batch vector-clock oracle (hb.NewClocks), which ReplayVC uses too; the
+// replay-equals-live invariant is pinned by the differential battery.
 func replayDetector(cfg Config, res *Result) race.Detector {
 	var ropts []race.Option
 	if cfg.Browser.ReportAll {

@@ -38,7 +38,7 @@ func foldTelemetry(res *Result, m *obs.Metrics) {
 		m.Add("hb.vc.arena_bytes", int64(live.MemoryBytes()))
 	}
 
-	if pw := pairwiseOf(b.Detector()); pw != nil {
+	if pw := detectorOf[*race.Pairwise](b.Detector()); pw != nil {
 		ds := pw.Stats()
 		m.Add("detector.checks", int64(ds.Checks))
 		m.Add("detector.epoch_hits", int64(ds.EpochHits))
@@ -74,17 +74,20 @@ func foldTelemetry(res *Result, m *obs.Metrics) {
 	}
 }
 
-// pairwiseOf unwraps the detector chain down to the Pairwise core, looking
-// through the trace Recorder. Nil when a different detector runs.
-func pairwiseOf(d race.Detector) *race.Pairwise {
+// detectorOf unwraps the detector chain down to a core of type T, looking
+// through the trace Recorder. Nil when a different detector runs: a
+// Sampled core is not a *race.Pairwise, so a sampled run folds no
+// detector.* counters.
+func detectorOf[T race.Detector](d race.Detector) T {
 	for {
-		switch v := d.(type) {
-		case *race.Pairwise:
+		if v, ok := d.(T); ok {
 			return v
-		case *race.Recorder:
-			d = v.Inner
-		default:
-			return nil
 		}
+		r, ok := d.(*race.Recorder)
+		if !ok {
+			var none T
+			return none
+		}
+		d = r.Inner
 	}
 }

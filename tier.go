@@ -103,7 +103,7 @@ const EscalationDetector = DetectorPairwiseVC
 func runSampled(site *loader.Site, cfg Config) *Result {
 	res := runOnce(site, cfg)
 	info := &SampledInfo{Rate: cfg.effectiveSampleRate()}
-	if sd := sampledOf(res.Browser.Detector()); sd != nil {
+	if sd := detectorOf[*race.Sampled](res.Browser.Detector()); sd != nil {
 		info.Hits = sd.Stats().Hits
 		info.Stats = sd.Stats()
 	}
@@ -137,20 +137,5 @@ func foldSampledTelemetry(m *obs.Metrics, info *SampledInfo) {
 	m.Add("race.sampled.hits", int64(info.Hits))
 	if info.Escalated {
 		m.Add("race.sampled.escalated", 1)
-	}
-}
-
-// sampledOf unwraps the detector chain down to the Sampled core, looking
-// through the trace Recorder. Nil when a different detector ran.
-func sampledOf(d race.Detector) *race.Sampled {
-	for {
-		switch v := d.(type) {
-		case *race.Sampled:
-			return v
-		case *race.Recorder:
-			d = v.Inner
-		default:
-			return nil
-		}
 	}
 }

@@ -67,9 +67,9 @@ const (
 	// control flow.
 	DetectorPredictive
 	// DetectorSampled is the fast tier for bulk traffic: the pairwise
-	// algorithm over a flat shadow-word array, checking only a
-	// deterministically sampled subset of locations (Config.SampleRate)
-	// with zero steady-state allocations. Any sampled hit escalates the
+	// detector of DetectorPairwiseVC, checking only a deterministically
+	// sampled subset of locations (Config.SampleRate) with zero
+	// steady-state allocations. Any sampled hit escalates the
 	// run to an exact second pass (DetectorPairwiseVC) whose reports
 	// replace the tier's; Result.Sampled records the tier's accounting
 	// either way. At rate 1 the output equals the exact detector's; at
@@ -360,8 +360,8 @@ func detectorFactory(cfg Config, reportAll bool) func(*hb.Graph) race.Detector {
 			return race.NewPairwise(live, ropts...)
 		}
 	case DetectorSampled:
-		// The fast tier runs over the live vector-clock mirror like
-		// PairwiseVC; the shadow array replaces the pairwise state map.
+		// The fast tier is PairwiseVC behind the sampler's admission
+		// predicate: the same live vector-clock mirror, the same core.
 		rate, seed := cfg.effectiveSampleRate(), cfg.Seed
 		return func(g *hb.Graph) race.Detector {
 			live := hb.NewLiveClocks()
@@ -833,8 +833,5 @@ func cutSuffixWord(s, suffix string) (string, bool) {
 // result must equal the graph-based reports (tests assert this); the bench
 // compares analysis time.
 func ReplayVC(res *Result) []race.Report {
-	trace := res.Browser.Trace()
-	clocks := hb.NewClocks(res.Browser.HB)
-	d := race.NewPairwise(clocks, race.LocHint(len(trace)/4))
-	return race.Replay(trace, d)
+	return race.Replay(res.Browser.Trace(), replayDetector(Config{Detector: DetectorPairwiseVC}, res))
 }
