@@ -23,10 +23,11 @@ test: vet
 
 # Deterministic chaos battery under the Go race detector: fault sweeps
 # (worker-count determinism, fault-exposed races, panic/timeout
-# degradation), injector unit tests, XHR error paths and the pinned
+# degradation), degraded seed and delay-one sweeps (library and
+# webracerd), injector unit tests, XHR error paths and the pinned
 # fault-sweep golden — the robustness surface in one command.
 chaos:
-	go test -race -run 'TestFault|TestGoldenFaultSweep|TestXHR' . ./internal/fault/ ./internal/browser/
+	go test -race -run 'TestFault|TestGoldenFaultSweep|TestXHR|TestSweepDegraded' . ./internal/fault/ ./internal/browser/ ./internal/serve/
 	go run ./cmd/experiments -faults
 
 # Service-level chaos battery under the Go race detector: boots a
@@ -70,12 +71,13 @@ sampled:
 # the sched/fault/stress corpora, every replayable detector, filters and
 # fault plans), the canonical-fingerprint invariance layer and its
 # byte-identity differentials against the original implementations,
-# the class-accounting unit tests, the serve-layer prune tests, and the
+# the class-accounting unit tests, the serve-layer prune tests, the
+# degraded-sweep tests (one report, pruned or not), and the
 # pinned explore.classes.* golden; then one iteration of the pruning
 # benchmarks and a short run of the relabeling/oracle fuzzer. The E12
 # table reprints the passes-saved numbers.
 prune:
-	go test -race -run 'TestPrune|TestFingerprint|TestClassSet|TestClassStats|TestGoldenMetricsPrune' . ./internal/canon/ ./internal/explore/ ./internal/serve/
+	go test -race -run 'TestPrune|TestFingerprint|TestClassSet|TestClassStats|TestGoldenMetricsPrune|TestSweepDegraded' . ./internal/canon/ ./internal/explore/ ./internal/serve/
 	go test -run '^$$' -bench 'Fingerprint|SeedSweep' -benchtime 1x .
 	go test -run '^$$' -fuzz FuzzCanonicalFingerprint -fuzztime 30s ./internal/canon/
 	go run ./cmd/experiments -prune

@@ -32,7 +32,10 @@ func BenchmarkTable1(b *testing.B) {
 	races := 0
 	var t1 report.Table1
 	for i := 0; i < b.N; i++ {
-		results := RunCorpus(corpusSize, corpusGen(1), DefaultConfig(1))
+		results, err := RunCorpusParallel(corpusSize, corpusGen(1), DefaultConfig(1), ParallelConfig{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		counts := make([]report.Counts, len(results))
 		races = 0
 		for j, r := range results {
@@ -58,7 +61,10 @@ func BenchmarkTable2(b *testing.B) {
 			c := cfg
 			c.Seed = cfg.Seed + int64(s)*101
 			res := RunConfig(site, c)
-			h := ClassifyHarmful(site, c, res)
+			h, err := ClassifyHarmfulParallel(site, c, res, ParallelConfig{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
 			kept += len(res.Reports)
 			harmful += h.Total()
 		}
@@ -127,8 +133,15 @@ func recordedCorpus(b *testing.B) []*Result {
 	b.Helper()
 	cfg := DefaultConfig(1)
 	cfg.RecordTrace = true
-	results := RunCorpus(10, corpusGen(1), cfg)
-	return append(results, RunCorpus(4, stressGen, cfg)...)
+	results, err := RunCorpusParallel(10, corpusGen(1), cfg, ParallelConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stress, err := RunCorpusParallel(4, stressGen, cfg, ParallelConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return append(results, stress...)
 }
 
 // BenchmarkDetectorGraph is experiment E4's first arm: replaying recorded
@@ -466,7 +479,10 @@ func BenchmarkSeedSweep(b *testing.B) {
 	stable, flaky := 0, 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep := RunSeeds(site, DefaultConfig(1), 5)
+		sweep, err := RunSeedsParallel(site, DefaultConfig(1), 5, ParallelConfig{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		s, f := sweep.Stable()
 		stable, flaky = len(s), len(f)
 	}
@@ -483,7 +499,10 @@ func BenchmarkHarmOracle(b *testing.B) {
 	b.ResetTimer()
 	harmful := 0
 	for i := 0; i < b.N; i++ {
-		h := ClassifyHarmful(site, cfg, res)
+		h, err := ClassifyHarmfulParallel(site, cfg, res, ParallelConfig{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
 		harmful = h.Total()
 	}
 	b.ReportMetric(float64(harmful), "harmful")
@@ -504,7 +523,10 @@ func BenchmarkCorpusParallel(b *testing.B) {
 	const n = 100
 	cfg := DefaultConfig(1)
 	t0 := time.Now()
-	serial := RunCorpus(n, corpusGen(1), cfg)
+	serial, err := RunCorpusParallel(n, corpusGen(1), cfg, ParallelConfig{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	serialTime := time.Since(t0)
 	serialRaces := 0
 	for _, r := range serial {
@@ -537,7 +559,10 @@ func BenchmarkScheduleSweepParallel(b *testing.B) {
 	site := sitegen.Generate(sitegen.SpecFor(1, 11)) // busiest page: most resources, most runs
 	cfg := DefaultConfig(1)
 	t0 := time.Now()
-	serial := ExploreSchedules(site, cfg)
+	serial, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	serialTime := time.Since(t0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -256,7 +256,10 @@ func runTable2(seed int64, n int) {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*101
 		res := webracer.RunConfig(site, c)
-		h := webracer.ClassifyHarmful(site, c, res)
+		h, err := webracer.ClassifyHarmfulParallel(site, c, res, webracer.ParallelConfig{Workers: 1})
+		if err != nil {
+			panic(err) // a recovered panic of an adversarial run: re-raised for the outer pool to report
+		}
 		var hc report.Counts
 		for j, r := range res.Reports {
 			if h.Harmful[j] {
@@ -360,14 +363,22 @@ func runAblation(seed int64, n int) error {
 	}
 	cfg := webracer.DefaultConfig(seed)
 	cfg.RecordTrace = true
-	results := webracer.RunCorpus(n, func(i int) *loader.Site {
+	p := webracer.ParallelConfig{Workers: workers}
+	results, err := webracer.RunCorpusParallel(n, func(i int) *loader.Site {
 		return sitegen.Generate(sitegen.SpecFor(seed, i))
-	}, cfg)
+	}, cfg, p)
+	if err != nil {
+		return err
+	}
 	// The representations are also compared at §6 scale: wide pages with
 	// thousands of operations across hundreds of handler tasks.
-	results = append(results, webracer.RunCorpus(4, func(i int) *loader.Site {
+	stress, err := webracer.RunCorpusParallel(4, func(i int) *loader.Site {
 		return sitegen.Generate(sitegen.StressSpec(i))
-	}, cfg)...)
+	}, cfg, p)
+	if err != nil {
+		return err
+	}
+	results = append(results, stress...)
 	graphRaces, epochRaces := 0, 0
 	graphBytes, epochBytes := 0, 0
 	ops, mats := 0, 0

@@ -22,10 +22,10 @@ func ExampleRun() {
 	// Variable race on the form value — two unordered writes
 }
 
-// ExampleClassifyHarmful shows the adversarial-replay harm oracle: the
+// ExampleClassifyHarmfulParallel shows the adversarial-replay harm oracle: the
 // unguarded lookup crashes when the user clicks early, so the race is
 // harmful.
-func ExampleClassifyHarmful() {
+func ExampleClassifyHarmfulParallel() {
 	site := loader.NewSite("example").Add("index.html", `
 <script>
 function openPanel() {
@@ -37,7 +37,10 @@ function openPanel() {
 
 	cfg := webracer.NewConfig(webracer.WithSeed(1))
 	res := webracer.RunConfig(site, cfg)
-	harm := webracer.ClassifyHarmful(site, cfg, res)
+	harm, err := webracer.ClassifyHarmfulParallel(site, cfg, res, webracer.ParallelConfig{})
+	if err != nil {
+		panic(err)
+	}
 	for i, r := range res.Reports {
 		if report.Classify(r) == report.HTML {
 			fmt.Printf("HTML race on %s, harmful: %v\n", r.Loc, harm.Harmful[i])

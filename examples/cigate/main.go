@@ -54,7 +54,11 @@ func analyze(site *loader.Site) (*webracer.Session, int) {
 	cfg := webracer.DefaultConfig(1)
 	cfg.Filters = true
 	res := webracer.RunConfig(site, cfg)
-	harm := webracer.ClassifyHarmful(site, cfg, res)
+	harm, err := webracer.ClassifyHarmfulParallel(site, cfg, res, webracer.ParallelConfig{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cigate:", err)
+		os.Exit(2)
+	}
 	return webracer.Export(res, cfg.Seed, harm, false), harm.Total()
 }
 

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"webracer"
 	"webracer/internal/loader"
@@ -43,7 +44,11 @@ func main() {
 	cfg.HarmRuns = 2
 
 	res := webracer.RunConfig(site(), cfg)
-	harm := webracer.ClassifyHarmful(site(), cfg, res)
+	harm, err := webracer.ClassifyHarmfulParallel(site(), cfg, res, webracer.ParallelConfig{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doctor:", err)
+		os.Exit(1)
+	}
 
 	fmt.Printf("%s: %d race(s) after filtering (%d raw), %d harmful\n\n",
 		res.Site, len(res.Reports), len(res.RawReports), harm.Total())

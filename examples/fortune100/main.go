@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"webracer"
 	"webracer/internal/loader"
@@ -23,9 +24,13 @@ func main() {
 
 	cfg := webracer.DefaultConfig(*seed)
 	cfg.Filters = *filters
-	results := webracer.RunCorpus(*sites, func(i int) *loader.Site {
+	results, err := webracer.RunCorpusParallel(*sites, func(i int) *loader.Site {
 		return sitegen.Generate(sitegen.SpecFor(*seed, i))
-	}, cfg)
+	}, cfg, webracer.ParallelConfig{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fortune100:", err)
+		os.Exit(1)
+	}
 
 	counts := make([]report.Counts, len(results))
 	fmt.Printf("%-28s %6s %6s %6s %6s %6s\n", "site", "HTML", "Func", "Var", "Disp", "errs")

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"webracer"
 	"webracer/internal/loader"
@@ -37,7 +38,11 @@ func main() {
 
 	// The harm oracle re-runs the page with an eager user and a slow
 	// network and watches for erased input.
-	h := webracer.ClassifyHarmful(site, webracer.DefaultConfig(1), res)
+	h, err := webracer.ClassifyHarmfulParallel(site, webracer.DefaultConfig(1), res, webracer.ParallelConfig{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("harmful races: %d\n", h.Total())
 	for _, e := range h.Evidence {
 		fmt.Println("  ", e)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"webracer/internal/fault"
@@ -87,7 +88,6 @@ func (fc FaultSweepConfig) plans() int {
 // is listed in Degraded, and the sweep itself still completes without
 // error in both cases.
 func RunFaultSweep(site *loader.Site, cfg Config, fc FaultSweepConfig, p ParallelConfig) (*FaultSweep, error) {
-	cfg = withParseMemo(cfg)
 	n := fc.plans()
 	planFor := fc.PlanFor
 	if planFor == nil {
@@ -108,10 +108,12 @@ func RunFaultSweep(site *loader.Site, cfg Config, fc FaultSweepConfig, p Paralle
 	}
 
 	sweep := &FaultSweep{Site: site.Name, Seed: cfg.Seed, Locations: map[string]int{}}
-	var baseline map[string]bool
-	err := pool.Each(p.opts(), 1+n,
-		func(unit int) *Result {
-			c := cfg
+	var baseline []string
+	p.Prune = false // fault sweeps run every detector pass
+	var err error
+	sweep.Degraded, err = runSweep(sweepPlan{
+		site: site, cfg: cfg, n: 1 + n,
+		unit: func(unit int, c *Config) {
 			plan := planAt(unit)
 			if unit > 0 {
 				c.Fault = &plan
@@ -119,35 +121,25 @@ func RunFaultSweep(site *loader.Site, cfg Config, fc FaultSweepConfig, p Paralle
 			if fc.OnRun != nil {
 				fc.OnRun(unit, plan)
 			}
-			return RunConfig(site, c)
 		},
-		func(unit int, res *Result) error {
-			run := FaultRun{
-				Plan:        labelAt(unit),
-				Faults:      len(res.FaultEvents),
-				Errors:      len(res.Errors),
-				Interrupted: res.Interrupted,
-			}
-			seen := map[string]bool{}
-			for _, r := range res.Reports {
-				key := r.Loc.String()
-				if !seen[key] {
-					seen[key] = true
-					run.Races = append(run.Races, key)
-					sweep.Locations[key]++
-				}
-			}
-			sort.Strings(run.Races)
-			if unit == 0 {
-				baseline = seen
-			}
-			if res.Interrupted != "" {
-				sweep.Degraded = append(sweep.Degraded,
-					fmt.Sprintf("%s: %s", run.Plan, res.Interrupted))
-			}
-			sweep.Runs = append(sweep.Runs, run)
-			return nil
+		label: labelAt,
+	}, p, func(unit int, run sweepRun) {
+		races := slices.Clone(run.locs)
+		sort.Strings(races)
+		sweep.Runs = append(sweep.Runs, FaultRun{
+			Plan:        labelAt(unit),
+			Races:       races,
+			Faults:      len(run.res.FaultEvents),
+			Errors:      len(run.res.Errors),
+			Interrupted: run.res.Interrupted,
 		})
+		for _, key := range races {
+			sweep.Locations[key]++
+		}
+		if unit == 0 {
+			baseline = races
+		}
+	})
 
 	// A panicked run delivered nothing to the sink; record it as skipped
 	// and absorb the panic — one bad run must not fail the sweep.
@@ -157,12 +149,7 @@ func RunFaultSweep(site *loader.Site, cfg Config, fc FaultSweepConfig, p Paralle
 	}
 	sort.Strings(sweep.Skipped)
 
-	for loc := range sweep.Locations {
-		if baseline == nil || !baseline[loc] {
-			sweep.NewlyExposed = append(sweep.NewlyExposed, loc)
-		}
-	}
-	sort.Strings(sweep.NewlyExposed)
+	sweep.NewlyExposed = newlyExposed(sweep.Locations, baseline)
 
 	if ctx := p.Ctx; ctx != nil && ctx.Err() != nil {
 		return sweep, ctx.Err()

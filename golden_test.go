@@ -49,9 +49,15 @@ func TestGoldenSweeps(t *testing.T) {
 	for _, tc := range goldenCases()[:2] { // fig1 and fig4: cheap, race-bearing
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(1)
-			sweep := RunSeeds(tc.site, cfg, 3)
+			sweep, err := RunSeedsParallel(tc.site, cfg, 3, ParallelConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			res := RunConfig(tc.site, cfg)
-			harm := ClassifyHarmful(tc.site, cfg, res)
+			harm, err := ClassifyHarmfulParallel(tc.site, cfg, res, ParallelConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			got, err := json.MarshalIndent(struct {
 				Sweep *SeedSweep `json:"sweep"`
 				Harm  *Harm      `json:"harm"`

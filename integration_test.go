@@ -138,7 +138,10 @@ func TestCompositeSiteEndToEnd(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Filters = true
 	res2 := RunConfig(compositeSite(), cfg2)
-	h := ClassifyHarmful(compositeSite(), cfg2, res2)
+	h, err := ClassifyHarmfulParallel(compositeSite(), cfg2, res2, ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.Total() == 0 {
 		t.Errorf("no harmful races on the composite site; reports: %v", res2.Reports)
 	}

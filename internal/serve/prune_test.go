@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+
+	"webracer"
+	"webracer/internal/sitegen"
 )
 
 // TestPrunedSweep pins the prune field's service semantics: a pruned
@@ -105,6 +109,79 @@ func TestPruneDetectorRejected(t *testing.T) {
 			`{"site":`+racySite+`,"prune":true,"detector":"`+det+`"}`)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("prune with %s: %d %s, want 400", det, resp.StatusCode, b)
+		}
+	}
+}
+
+// budgetSweep resolves a sweep job on a page whose virtual-time budget
+// the baseline just meets: the slow:index.html and slow:menus.js
+// perturbations, and three of six seeds, trip it.
+func budgetSweep(t *testing.T, mode string, prune bool) *resolved {
+	t.Helper()
+	site := sitegen.Generate(sitegen.SpecFor(1, 1))
+	cfg := webracer.DefaultConfig(7)
+	base := webracer.RunConfig(site, cfg)
+	if base.Interrupted != "" {
+		t.Fatalf("baseline interrupted: %s", base.Interrupted)
+	}
+	cfg.Browser.MaxVirtualTime = base.Browser.Clock() + 1
+	return &resolved{kind: kindSweep, site: site, cfg: cfg, seeds: 6, mode: mode, prune: prune, key: "budget"}
+}
+
+// TestSweepDegradedNotCached: an unpruned delay-one sweep whose
+// perturbation runs were interrupted is degraded, like its pruned twin:
+// it names both runs and stays out of the cache.
+func TestSweepDegradedNotCached(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	body, cacheable, err := s.executeSweep(budgetSweep(t, "delay-one", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cacheable {
+		t.Error("degraded delay-one sweep is cacheable")
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"slow:index.html: virtual-time budget", "slow:menus.js: virtual-time budget"}
+	if !reflect.DeepEqual(resp.Degraded, want) {
+		t.Errorf("degraded = %q, want %q", resp.Degraded, want)
+	}
+}
+
+// TestSweepDegradedTable: pruning and the sweep worker count change no
+// byte of a degraded sweep's response but the classes summary, in
+// either mode: every run is listed as "label: reason".
+func TestSweepDegradedTable(t *testing.T) {
+	for _, mode := range []string{"seeds", "delay-one"} {
+		var want []byte
+		for _, prune := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				s, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: workers})
+				body, cacheable, err := s.executeSweep(budgetSweep(t, mode, prune))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var resp SweepResponse
+				if err := json.Unmarshal(body, &resp); err != nil {
+					t.Fatal(err)
+				}
+				if cacheable || len(resp.Degraded) == 0 {
+					t.Errorf("%s prune=%v workers=%d: cacheable=%v degraded=%q",
+						mode, prune, workers, cacheable, resp.Degraded)
+				}
+				if prune != (resp.Classes != nil) {
+					t.Errorf("%s prune=%v workers=%d: classes %+v", mode, prune, workers, resp.Classes)
+				}
+				resp.Classes = nil
+				got, _ := json.Marshal(resp)
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("%s prune=%v workers=%d:\n got %s\nwant %s", mode, prune, workers, got, want)
+				}
+			}
 		}
 	}
 }

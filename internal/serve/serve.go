@@ -35,14 +35,12 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"webracer"
 	"webracer/internal/fault"
-	"webracer/internal/js"
 	"webracer/internal/obs"
 	"webracer/internal/pool"
 	"webracer/internal/report"
@@ -591,119 +589,44 @@ func (s *Server) crossPopulateExact(r *resolved, res *webracer.Result) {
 	}
 }
 
-// executeSweep runs /v1/sweep in either mode. The seeds mode shards the
-// schedules over the job's sweep workers via pool.Map and folds exactly
-// like webracer.RunSeeds (same 7919 seed stepping), with per-run
-// interruption visible so degraded sweeps stay out of the cache.
+// executeSweep runs /v1/sweep in either mode as one library sweep over
+// the job's sweep workers, pruned when the request asks. A sweep with
+// degraded runs is returned but never cached: a run cut short by the
+// wall-clock budget depends on timing, not on the job key's inputs.
 func (s *Server) executeSweep(r *resolved) ([]byte, bool, error) {
 	resp := SweepResponse{ID: r.key, Site: r.site.Name, Seed: r.cfg.Seed, Mode: r.mode}
-	cacheable := true
-	switch {
-	case r.prune && r.mode == "seeds":
-		var stats webracer.ClassStats
-		sweep, err := webracer.RunSeedsParallel(r.site, r.cfg, r.seeds,
-			webracer.ParallelConfig{Workers: s.cfg.SweepWorkers, Prune: true, Classes: &stats})
+	var stats webracer.ClassStats
+	p := webracer.ParallelConfig{Workers: s.cfg.SweepWorkers, Prune: r.prune, Classes: &stats}
+	switch r.mode {
+	case "seeds":
+		sweep, err := webracer.RunSeedsParallel(r.site, r.cfg, r.seeds, p)
 		if err != nil {
 			return nil, false, err
+		}
+		if !r.prune { // the histogram has never counted pruned sweeps
+			s.hExecOps.Record(int64(sweep.Ops))
 		}
 		resp.Seeds = r.seeds
 		resp.PerSeed = sweep.PerSeed
 		resp.Locations = sweep.Locations
-		fillStableFlaky(&resp, r.seeds)
-		finishPrunedSweep(s, &resp, stats, &cacheable)
-	case r.prune && r.mode == "delay-one":
-		var stats webracer.ClassStats
-		sweep, err := webracer.ExploreSchedulesParallel(r.site, r.cfg,
-			webracer.ParallelConfig{Workers: s.cfg.SweepWorkers, Prune: true, Classes: &stats})
+		resp.Stable, resp.Flaky = sweep.Stable()
+		resp.Degraded = sweep.Degraded
+	case "delay-one":
+		sweep, err := webracer.ExploreSchedulesParallel(r.site, r.cfg, p)
 		if err != nil {
 			return nil, false, err
 		}
 		resp.Runs = sweep.Runs
 		resp.ByLocation = sweep.ByLocation
 		resp.NewlyExposed = sweep.NewlyExposed
-		finishPrunedSweep(s, &resp, stats, &cacheable)
-	case r.mode == "seeds":
-		// One parse memo per request, shared by the request's runs, as
-		// webracer's own sweep drivers do.
-		cfg := r.cfg
-		cfg.Browser.Programs = js.NewPrograms()
-		results, err := pool.Map(pool.Options{Workers: s.cfg.SweepWorkers}, r.seeds,
-			func(i int) *webracer.Result {
-				c := cfg
-				c.Seed = r.cfg.Seed + int64(i)*7919
-				return webracer.RunConfig(r.site, c)
-			})
-		if err != nil {
-			return nil, false, err
-		}
-		resp.Seeds = r.seeds
-		locations := map[string]int{}
-		totalOps := 0
-		for i, res := range results {
-			totalOps += res.Ops
-			resp.PerSeed = append(resp.PerSeed, len(res.Reports))
-			if res.Interrupted != "" {
-				cacheable = false
-				resp.Degraded = append(resp.Degraded,
-					fmt.Sprintf("seed %d: %s", r.cfg.Seed+int64(i)*7919, res.Interrupted))
-			}
-			seen := map[string]bool{}
-			for _, rep := range res.Reports {
-				key := rep.Loc.String()
-				if !seen[key] {
-					seen[key] = true
-					locations[key]++
-				}
-			}
-		}
-		s.hExecOps.Record(int64(totalOps))
-		resp.Locations = locations
-		fillStableFlaky(&resp, r.seeds)
-	case r.mode == "delay-one":
-		sweep, err := webracer.ExploreSchedulesParallel(r.site, r.cfg,
-			webracer.ParallelConfig{Workers: s.cfg.SweepWorkers})
-		if err != nil {
-			return nil, false, err
-		}
-		resp.Runs = sweep.Runs
-		resp.ByLocation = sweep.ByLocation
-		resp.NewlyExposed = sweep.NewlyExposed
-		if sweep.Baseline != nil && sweep.Baseline.Interrupted != "" {
-			cacheable = false
-			resp.Degraded = append(resp.Degraded, "baseline: "+sweep.Baseline.Interrupted)
-		}
+		resp.Degraded = sweep.Degraded
+	}
+	if r.prune {
+		resp.Classes = &stats
+		stats.Fold(s.metrics)
 	}
 	body, err := marshalBody(resp)
-	return body, cacheable, err
-}
-
-// fillStableFlaky splits the sweep's location union into locations every
-// seed reported vs. the schedule-dependent remainder.
-func fillStableFlaky(resp *SweepResponse, seeds int) {
-	for loc, hits := range resp.Locations {
-		if hits == seeds {
-			resp.Stable = append(resp.Stable, loc)
-		} else {
-			resp.Flaky = append(resp.Flaky, loc)
-		}
-	}
-	sort.Strings(resp.Stable)
-	sort.Strings(resp.Flaky)
-}
-
-// finishPrunedSweep attaches a pruned sweep's class summary to the
-// response, folds it into the explore.classes.* counters of /metrics,
-// and keeps degraded sweeps out of the cache. Interrupted runs are
-// analyzed but never classified, so Executions − Distinct − Pruned
-// counts exactly the interrupted runs — their bytes depend on wall-clock
-// timing, not on the job key's inputs.
-func finishPrunedSweep(s *Server, resp *SweepResponse, stats webracer.ClassStats, cacheable *bool) {
-	resp.Classes = &stats
-	stats.Fold(s.metrics)
-	if degraded := stats.Executions - stats.Distinct - stats.Pruned; degraded > 0 {
-		*cacheable = false
-		resp.Degraded = append(resp.Degraded, fmt.Sprintf("%d interrupted runs", degraded))
-	}
+	return body, len(resp.Degraded) == 0, err
 }
 
 // executeFaultSweep runs /v1/faultsweep: baseline plus N derived fault
@@ -931,8 +854,11 @@ type SweepResponse struct {
 	// NewlyExposed are locations found only under some perturbation,
 	// sorted (delay-one mode).
 	NewlyExposed []string `json:"newlyExposed,omitempty"`
-	// Degraded lists runs that tripped the wall budget; a degraded sweep
-	// is returned but never cached.
+	// Degraded lists the runs that completed partially (wall-clock or
+	// virtual-time budget, safety bounds) as "label: reason" in run
+	// order: "seed <seed>" in seeds mode, "baseline" or "slow:<url>" in
+	// delay-one mode, pruned or not. A degraded sweep is returned but
+	// never cached.
 	Degraded []string `json:"degraded,omitempty"`
 	// Classes is the pruning summary of a "prune": true sweep — how many
 	// executions ran, how many distinct trace classes they fell into, and

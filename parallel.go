@@ -2,6 +2,7 @@ package webracer
 
 import (
 	"context"
+	"fmt"
 
 	"webracer/internal/js"
 	"webracer/internal/loader"
@@ -69,9 +70,10 @@ func withParseMemo(cfg Config) Config {
 	return cfg
 }
 
-// RunCorpusParallel is RunCorpus sharded over p.Workers: site i still runs
-// with seed cfg.Seed + i*101 and results land at their input index, so
-// the output equals the serial RunCorpus exactly. gen must be safe for
+// RunCorpusParallel runs the detector over n synthetic sites (see
+// sitegen), sharded over p.Workers, and returns one Result per site:
+// site i runs with seed cfg.Seed + i*101 and lands at index i, so the
+// output is identical at any worker count. gen must be safe for
 // concurrent calls (sitegen.Generate is: it is a pure function of its
 // spec).
 func RunCorpusParallel(n int, gen func(i int) *loader.Site, cfg Config, p ParallelConfig) ([]*Result, error) {
@@ -82,90 +84,80 @@ func RunCorpusParallel(n int, gen func(i int) *loader.Site, cfg Config, p Parall
 	})
 }
 
-// RunSeedsParallel is RunSeeds sharded over p.Workers. Per-seed results
-// are folded into the sweep in seed order under a bounded window, so the
-// aggregate is identical to the serial sweep while holding only O(window)
-// results in memory. With p.Prune set, HB-equivalent seeds share one
-// detector pass (see ParallelConfig.Prune) and the aggregate is still
-// byte-identical.
+// RunSeedsParallel performs a seed sweep over the site: run i uses seed
+// cfg.Seed + i*7919, sharded over p.Workers and folded in seed order, so
+// the aggregate is identical at any worker count. With p.Prune set,
+// HB-equivalent seeds share one detector pass (see ParallelConfig.Prune)
+// and the aggregate is still byte-identical.
 func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*SeedSweep, error) {
-	cfg = withParseMemo(cfg)
-	if p.Prune {
-		return runSeedsPruned(site, cfg, n, p)
-	}
+	seedOf := func(i int) int64 { return cfg.Seed + int64(i)*7919 }
 	sweep := &SeedSweep{Locations: map[string]int{}, Seeds: n}
-	err := pool.Each(p.opts(), n,
-		func(i int) *Result {
-			c := cfg
-			c.Seed = cfg.Seed + int64(i)*7919
-			return RunConfig(site, c)
-		},
-		func(i int, res *Result) error {
-			sweep.PerSeed = append(sweep.PerSeed, len(res.Reports))
-			seen := map[string]bool{}
-			for _, r := range res.Reports {
-				key := r.Loc.String()
-				if !seen[key] {
-					seen[key] = true
-					sweep.Locations[key]++
-				}
-			}
-			return nil
-		})
+	var err error
+	sweep.Degraded, err = runSweep(sweepPlan{
+		site: site, cfg: cfg, n: n,
+		unit:  func(i int, c *Config) { c.Seed = seedOf(i) },
+		label: func(i int) string { return fmt.Sprintf("seed %d", seedOf(i)) },
+	}, p, func(i int, run sweepRun) {
+		sweep.PerSeed = append(sweep.PerSeed, len(run.reports))
+		sweep.Ops += run.res.Ops
+		for _, key := range run.locs {
+			sweep.Locations[key]++
+		}
+	})
 	return sweep, err
 }
 
-// ExploreSchedulesParallel is ExploreSchedules sharded over p.Workers:
-// the baseline run and every delay-one perturbation are independent
-// simulations, executed concurrently and folded in the serial order
-// (baseline first, then URLs sorted), so ByLocation, NewlyExposed and
-// Reports are identical to the serial sweep. With p.Prune set,
-// perturbations that land in an already-explored trace class skip their
-// detector pass and the fold counts which perturbations steering would
-// prioritize (see ParallelConfig.Prune).
+// ExploreSchedulesParallel runs the delay-one sweep: the baseline, then
+// one run per resource (URLs sorted) with that resource made
+// pathologically slow, sharded over p.Workers and folded in that order,
+// so the sweep is identical at any worker count. The detector already
+// reasons over happens-before rather than observed order, so most races
+// appear in the baseline; perturbations add races in code that only
+// *executes* under certain orderings (retry branches, readiness checks,
+// handlers attached by late code). With p.Prune set, perturbations that
+// land in an already-explored trace class skip their detector pass and
+// the sweep counts which perturbations steering would prioritize (see
+// ParallelConfig.Prune).
 func ExploreSchedulesParallel(site *loader.Site, cfg Config, p ParallelConfig) (*ScheduleSweep, error) {
-	cfg = withParseMemo(cfg)
-	if p.Prune {
-		return exploreSchedulesPruned(site, cfg, p)
+	// Unit 0 is the baseline; unit i > 0 slows urls[i].
+	urls := append([]string{""}, resourceURLs(site)...)
+	label := func(i int) string {
+		if i == 0 {
+			return "baseline"
+		}
+		return "slow:" + urls[i]
 	}
-	urls := resourceURLs(site)
-
 	sweep := &ScheduleSweep{ByLocation: map[string][]string{}}
 	seenLoc := map[string]bool{}
-	record := func(label string, res *Result) {
-		for _, r := range res.Reports {
-			key := r.Loc.String()
-			sweep.ByLocation[key] = append(sweep.ByLocation[key], label)
+	var baseline []string
+	var err error
+	sweep.Degraded, err = runSweep(sweepPlan{
+		site: site, cfg: cfg, n: len(urls),
+		unit: func(i int, c *Config) {
+			if i > 0 {
+				c.Seed++ // keep jitter stable; the override is the perturbation
+				c.Browser.Latency = slowOne(c.Browser.Latency, urls[i])
+			}
+		},
+		label: label,
+		steer: func(i int) string { return urls[i] },
+	}, p, func(i int, run sweepRun) {
+		sweep.Runs++
+		by := "" // ByLocation names the baseline ""
+		if i == 0 {
+			sweep.Baseline, baseline = run.res, run.locs
+		} else {
+			by = label(i)
+		}
+		for j, key := range run.keys {
+			sweep.ByLocation[key] = append(sweep.ByLocation[key], by)
 			if !seenLoc[key] {
 				seenLoc[key] = true
-				sweep.Reports = append(sweep.Reports, r)
+				sweep.Reports = append(sweep.Reports, run.reports[j])
 			}
 		}
-	}
-
-	// Unit 0 is the baseline; unit i+1 slows urls[i] pathologically.
-	err := pool.Each(p.opts(), 1+len(urls),
-		func(i int) *Result {
-			if i == 0 {
-				return RunConfig(site, cfg)
-			}
-			c := cfg
-			c.Seed = cfg.Seed + 1 // keep jitter stable; the override is the perturbation
-			c.Browser.Latency = slowOne(c.Browser.Latency, urls[i-1])
-			return RunConfig(site, c)
-		},
-		func(i int, res *Result) error {
-			sweep.Runs++
-			if i == 0 {
-				sweep.Baseline = res
-				record("", res)
-			} else {
-				record("slow:"+urls[i-1], res)
-			}
-			return nil
-		})
-
-	finishScheduleSweep(sweep)
+	})
+	sweep.NewlyExposed = newlyExposed(sweep.ByLocation, baseline)
 	return sweep, err
 }
 
@@ -185,11 +177,13 @@ func slowOne(lat loader.Latency, url string) loader.Latency {
 	return lat
 }
 
-// ClassifyHarmfulParallel is ClassifyHarmful with the cfg.HarmRuns
-// adversarial replays sharded over p.Workers. Each replay is an
-// independent simulation; judging folds in replay order, so the
-// first-evidence-wins semantics (and therefore Harmful, Counts and
-// Evidence) match the serial oracle exactly.
+// ClassifyHarmfulParallel re-runs site under adversarial schedules
+// (cfg.HarmRuns of them) and marks which of res.Reports are harmful: a
+// race is harmful if any adversarial run exhibits its failure behaviour.
+// The replays are independent simulations sharded over p.Workers;
+// judging folds in replay order, so the first-evidence-wins semantics
+// (and therefore Harmful, Counts and Evidence) are identical at any
+// worker count.
 func ClassifyHarmfulParallel(site *loader.Site, cfg Config, res *Result, p ParallelConfig) (*Harm, error) {
 	cfg = withParseMemo(cfg)
 	runs := cfg.HarmRuns

@@ -22,11 +22,15 @@ func exportBytes(t *testing.T, res *Result, seed int64) []byte {
 }
 
 // TestRunCorpusParallelDeterministic: the sharded corpus sweep must
-// produce byte-identical session exports per site at every worker count.
+// produce byte-identical session exports per site at every worker count
+// (Workers 1, the serial path, against 4 and 8).
 func TestRunCorpusParallelDeterministic(t *testing.T) {
 	const n = 12
 	cfg := DefaultConfig(1)
-	serial := RunCorpus(n, corpusGen(1), cfg)
+	serial, err := RunCorpusParallel(n, corpusGen(1), cfg, ParallelConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([][]byte, n)
 	for i, res := range serial {
 		want[i] = exportBytes(t, res, cfg.Seed+int64(i)*101)
@@ -47,11 +51,15 @@ func TestRunCorpusParallelDeterministic(t *testing.T) {
 }
 
 // TestRunSeedsParallelDeterministic: the seed sweep aggregate must be
-// identical at every worker count.
+// identical at every worker count (Workers 1, the serial path, against 4
+// and 8).
 func TestRunSeedsParallelDeterministic(t *testing.T) {
 	site := sitegen.Generate(sitegen.SpecFor(1, 40))
 	cfg := DefaultConfig(1)
-	serial := RunSeeds(site, cfg, 6)
+	serial, err := RunSeedsParallel(site, cfg, 6, ParallelConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4, 8} {
 		sweep, err := RunSeedsParallel(site, cfg, 6, ParallelConfig{Workers: workers})
 		if err != nil {
@@ -66,11 +74,15 @@ func TestRunSeedsParallelDeterministic(t *testing.T) {
 
 // TestExploreSchedulesParallelDeterministic: the delay-one schedule sweep
 // must aggregate identically at every worker count, including the
-// baseline's full exported session.
+// baseline's full exported session (Workers 1, the serial path, against
+// 4 and 8).
 func TestExploreSchedulesParallelDeterministic(t *testing.T) {
 	site := sitegen.Generate(sitegen.SpecFor(1, 7))
 	cfg := DefaultConfig(1)
-	serial := ExploreSchedules(site, cfg)
+	serial, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	serialBase := exportBytes(t, serial.Baseline, cfg.Seed)
 	for _, workers := range []int{1, 4, 8} {
 		sweep, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Workers: workers})
@@ -96,14 +108,18 @@ func TestExploreSchedulesParallelDeterministic(t *testing.T) {
 }
 
 // TestClassifyHarmfulParallelDeterministic: sharded adversarial replays
-// must classify exactly like the serial oracle, including evidence order.
+// must classify exactly like the serial oracle (Workers 1), including
+// evidence order.
 func TestClassifyHarmfulParallelDeterministic(t *testing.T) {
 	site := sitegen.Generate(sitegen.SpecFor(1, 7)) // Gomez archetype: harmful races
 	cfg := DefaultConfig(1)
 	cfg.Filters = true
 	cfg.HarmRuns = 4
 	res := RunConfig(site, cfg)
-	serial := ClassifyHarmful(site, cfg, res)
+	serial, err := ClassifyHarmfulParallel(site, cfg, res, ParallelConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if serial.Total() == 0 {
 		t.Fatal("test site produced no harmful races; pick a busier site")
 	}

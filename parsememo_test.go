@@ -225,7 +225,7 @@ func refSchedules(site *loader.Site, cfg Config) *ScheduleSweep {
 		c.Browser.Latency = slowOne(c.Browser.Latency, url)
 		record("slow:"+url, plainRun(site, c))
 	}
-	finishScheduleSweep(sweep)
+	sweep.NewlyExposed = newlyExposed(sweep.ByLocation, locsOf(sweep.Baseline.Reports))
 	return sweep
 }
 

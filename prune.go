@@ -2,7 +2,6 @@ package webracer
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 
@@ -12,7 +11,6 @@ import (
 	"webracer/internal/loader"
 	"webracer/internal/mem"
 	"webracer/internal/op"
-	"webracer/internal/pool"
 	"webracer/internal/race"
 	"webracer/internal/report"
 )
@@ -30,16 +28,6 @@ type ClassStats = explore.ClassStats
 // witness replays need live execution) and pointless for the sampled
 // tier (itself the cheap pass). Test with errors.Is.
 var ErrPruneDetector = errors.New("pruning requires a trace-replayable detector (pairwise, accessset, pairwise-vc)")
-
-// prunable rejects configurations whose detector pass cannot be replayed
-// from a recorded trace.
-func prunable(cfg Config) error {
-	switch cfg.Detector {
-	case DetectorPredictive, DetectorSampled:
-		return fmt.Errorf("webracer: %w; got %q", ErrPruneDetector, cfg.Detector)
-	}
-	return nil
-}
 
 // nullDetector is the detector slot of a pruned sweep's cheap pass: the
 // execution is instrumented (the recorder still captures the access
@@ -60,14 +48,6 @@ func cheapConfig(cfg Config) Config {
 	c.RecordTrace = true
 	c.Browser.Detector = func(*hb.Graph) race.Detector { return nullDetector{} }
 	return c
-}
-
-// classifiedResult pairs a cheap-pass result with its canonical trace
-// class; the fingerprint is computed worker-side so the in-order fold
-// stays light.
-type classifiedResult struct {
-	res *Result
-	fp  string
 }
 
 // fingerprintOf computes the run's canonical trace-class fingerprint:
@@ -414,142 +394,6 @@ func notePairs(cs *explore.ClassSet, res *Result) {
 	}
 }
 
-// runSeedsPruned is RunSeedsParallel's pruned path: every seed still
-// executes (cheaply — trace recorded, no live detector), each execution
-// is classified by its canonical fingerprint, and only the first member
-// of each class pays the detector pass; repeats reuse the class verdict.
-// Because HB-equivalent executions report exactly the same races, the
-// folded SeedSweep is byte-identical to the unpruned sweep's at any
-// worker count (the differential battery pins this on the sched, fault
-// and stress corpora). A seed sweep does no steering, so it builds no
-// pair index (notePairs).
-func runSeedsPruned(site *loader.Site, cfg Config, n int, p ParallelConfig) (*SeedSweep, error) {
-	if err := prunable(cfg); err != nil {
-		return nil, err
-	}
-	type classInfo struct {
-		count int
-		locs  []string
-	}
-	cs := explore.NewClassSet()
-	classes := map[string]*classInfo{}
-	sweep := &SeedSweep{Locations: map[string]int{}, Seeds: n}
-	err := pool.Each(p.opts(), n,
-		func(i int) classifiedResult {
-			c := cheapConfig(cfg)
-			c.Seed = cfg.Seed + int64(i)*7919
-			res := RunConfig(site, c)
-			return classifiedResult{res, fingerprintOf(res)}
-		},
-		func(i int, cr classifiedResult) error {
-			var ci *classInfo
-			if cr.res.Interrupted != "" {
-				cs.Degraded()
-			} else if _, first := cs.Observe(cr.fp); !first {
-				ci = classes[cr.fp]
-			}
-			if ci == nil {
-				analyzeClass(cfg, cr.res)
-				ci = &classInfo{count: len(cr.res.Reports)}
-				seen := map[string]bool{}
-				for _, r := range cr.res.Reports {
-					key := r.Loc.String()
-					if !seen[key] {
-						seen[key] = true
-						ci.locs = append(ci.locs, key)
-					}
-				}
-				if cr.res.Interrupted == "" {
-					classes[cr.fp] = ci
-				}
-			}
-			sweep.PerSeed = append(sweep.PerSeed, ci.count)
-			for _, key := range ci.locs {
-				sweep.Locations[key]++
-			}
-			return nil
-		})
-	if p.Classes != nil {
-		*p.Classes = cs.Stats()
-	}
-	return sweep, err
-}
-
-// exploreSchedulesPruned is ExploreSchedulesParallel's pruned path: the
-// baseline and each delay-one perturbation run cheaply, classify, and
-// pay the detector pass once per class. The fold additionally makes the
-// steering decision for each perturbation before its class is absorbed:
-// a perturbation whose delayed URL appears in a conflicting pair ordered
-// only one way across the classes explored so far is the budget the
-// sweep would keep under a cap (ClassStats.Steered counts these
-// decisions). The aggregate equals the unpruned sweep's exactly.
-func exploreSchedulesPruned(site *loader.Site, cfg Config, p ParallelConfig) (*ScheduleSweep, error) {
-	if err := prunable(cfg); err != nil {
-		return nil, err
-	}
-	urls := resourceURLs(site)
-	cs := explore.NewClassSet()
-	classes := map[string][]race.Report{}
-	sweep := &ScheduleSweep{ByLocation: map[string][]string{}}
-	seenLoc := map[string]bool{}
-	record := func(label string, reports []race.Report) {
-		for _, r := range reports {
-			key := r.Loc.String()
-			sweep.ByLocation[key] = append(sweep.ByLocation[key], label)
-			if !seenLoc[key] {
-				seenLoc[key] = true
-				sweep.Reports = append(sweep.Reports, r)
-			}
-		}
-	}
-	err := pool.Each(p.opts(), 1+len(urls),
-		func(i int) classifiedResult {
-			c := cheapConfig(cfg)
-			if i > 0 {
-				c.Seed = cfg.Seed + 1 // keep jitter stable; the override is the perturbation
-				c.Browser.Latency = slowOne(c.Browser.Latency, urls[i-1])
-			}
-			res := RunConfig(site, c)
-			return classifiedResult{res, fingerprintOf(res)}
-		},
-		func(i int, cr classifiedResult) error {
-			sweep.Runs++
-			// Steering decision first, against the classes explored
-			// before this unit: would this perturbation's URL flip a
-			// pair ordered only one way so far?
-			if i > 0 && cs.OneWay(func(key string) bool {
-				return containsURL(key, urls[i-1])
-			}) {
-				cs.NoteSteered()
-			}
-			var reports []race.Report
-			if cr.res.Interrupted != "" {
-				cs.Degraded()
-				analyzeClass(cfg, cr.res)
-				reports = cr.res.Reports
-			} else if _, first := cs.Observe(cr.fp); first {
-				analyzeClass(cfg, cr.res)
-				reports = cr.res.Reports
-				classes[cr.fp] = reports
-				notePairs(cs, cr.res)
-			} else {
-				reports = classes[cr.fp]
-			}
-			if i == 0 {
-				sweep.Baseline = cr.res
-				record("", reports)
-			} else {
-				record("slow:"+urls[i-1], reports)
-			}
-			return nil
-		})
-	finishScheduleSweep(sweep)
-	if p.Classes != nil {
-		*p.Classes = cs.Stats()
-	}
-	return sweep, err
-}
-
 // containsURL reports whether url occurs in the pair key as a whole
 // token: bounded on each side by the key's end, a space, '|', a quote or
 // a parenthesis. A plain substring test would let a.js match data.js.
@@ -589,20 +433,4 @@ func resourceURLs(site *loader.Site) []string {
 	}
 	sort.Strings(urls)
 	return urls
-}
-
-// finishScheduleSweep computes NewlyExposed from the folded sweep.
-func finishScheduleSweep(sweep *ScheduleSweep) {
-	baseline := map[string]bool{}
-	if sweep.Baseline != nil {
-		for _, r := range sweep.Baseline.Reports {
-			baseline[r.Loc.String()] = true
-		}
-	}
-	for loc := range sweep.ByLocation {
-		if !baseline[loc] {
-			sweep.NewlyExposed = append(sweep.NewlyExposed, loc)
-		}
-	}
-	sort.Strings(sweep.NewlyExposed)
 }

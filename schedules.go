@@ -1,7 +1,6 @@
 package webracer
 
 import (
-	"webracer/internal/loader"
 	"webracer/internal/race"
 	"webracer/internal/report"
 )
@@ -23,17 +22,11 @@ type ScheduleSweep struct {
 	// Reports holds one representative report per location, in first-seen
 	// order across runs.
 	Reports []race.Report
-}
-
-// ExploreSchedules runs the delay-one sweep. The detector already reasons
-// over happens-before rather than observed order, so most races appear in
-// the baseline; perturbations add races in code that only *executes* under
-// certain orderings (retry branches, readiness checks, handlers attached by
-// late code). Counts per race type across the whole sweep are available via
-// report.Count(sweep.Reports).
-func ExploreSchedules(site *loader.Site, cfg Config) *ScheduleSweep {
-	sweep, _ := ExploreSchedulesParallel(site, cfg, ParallelConfig{Workers: 1})
-	return sweep
+	// Degraded lists runs that completed partially (budget, cancellation,
+	// safety bounds) as "label: reason" in run order, the baseline
+	// labeled "baseline" and a perturbation "slow:<url>". Their partial
+	// results are still folded in.
+	Degraded []string
 }
 
 // Counts tallies the sweep's union of races by type.

@@ -1,14 +1,19 @@
 package webracer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"webracer/internal/loader"
+	"webracer/internal/sitegen"
 )
 
 func TestExploreSchedulesBaselineCovered(t *testing.T) {
-	sweep := ExploreSchedules(demoSite(), DefaultConfig(1))
+	sweep, err := ExploreSchedulesParallel(demoSite(), DefaultConfig(1), ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sweep.Runs != 1+len(demoSite().Resources) {
 		t.Fatalf("runs = %d, want %d", sweep.Runs, 1+len(demoSite().Resources))
 	}
@@ -42,7 +47,10 @@ if (typeof appReady == 'undefined') {
 </script>`).
 		Add("app.js", `appReady = 1;`)
 	cfg := DefaultConfig(1)
-	sweep := ExploreSchedules(site, cfg)
+	sweep, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sweep.Runs != 3 { // baseline + index.html-slow + app.js-slow
 		t.Fatalf("runs = %d, want 3", sweep.Runs)
 	}
@@ -77,4 +85,30 @@ func locationKeys(s *ScheduleSweep) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestSweepDegradedDelayOne: on a page whose virtual-time budget the
+// baseline just meets, the slow:index.html and slow:menus.js
+// perturbations trip it. The delay-one sweep must list both runs as
+// degraded, pruned or not, at any worker count.
+func TestSweepDegradedDelayOne(t *testing.T) {
+	site := sitegen.Generate(sitegen.SpecFor(1, 1))
+	cfg := DefaultConfig(7)
+	base := RunConfig(site, cfg)
+	if base.Interrupted != "" {
+		t.Fatalf("baseline interrupted: %s", base.Interrupted)
+	}
+	cfg.Browser.MaxVirtualTime = base.Browser.Clock() + 1
+	want := []string{"slow:index.html: virtual-time budget", "slow:menus.js: virtual-time budget"}
+	for _, prune := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			sweep, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Workers: workers, Prune: prune})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sweep.Degraded, want) {
+				t.Errorf("prune=%v workers=%d: Degraded = %q, want %q", prune, workers, sweep.Degraded, want)
+			}
+		}
+	}
 }

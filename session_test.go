@@ -12,7 +12,10 @@ func TestSessionExportRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.RecordTrace = true
 	res := RunConfig(demoSite(), cfg)
-	h := ClassifyHarmful(demoSite(), cfg, res)
+	h, err := ClassifyHarmfulParallel(demoSite(), cfg, res, ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := Export(res, cfg.Seed, h, true)
 
 	if s.Site != "demo" || len(s.Ops) == 0 || len(s.Edges) == 0 {

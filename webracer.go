@@ -504,15 +504,6 @@ func runOnce(site *loader.Site, cfg Config) *Result {
 	return res
 }
 
-// RunCorpus runs the detector over n synthetic sites (see sitegen) and
-// returns one Result per site. The gen callback supplies site i. This is
-// the serial path; RunCorpusParallel shards the same sweep over workers
-// with identical output.
-func RunCorpus(n int, gen func(i int) *loader.Site, cfg Config) []*Result {
-	out, _ := RunCorpusParallel(n, gen, cfg, ParallelConfig{Workers: 1})
-	return out
-}
-
 // SeedSweep aggregates detection across several simulated schedules: the
 // same site is run under n different seeds and the union of race locations
 // is reported, with per-location hit counts. Because the detector reasons
@@ -530,13 +521,12 @@ type SeedSweep struct {
 	Seeds int `json:"seeds"`
 	// PerSeed is the race count of each run.
 	PerSeed []int `json:"perSeed"`
-}
-
-// RunSeeds performs a seed sweep over the site (serial; see
-// RunSeedsParallel).
-func RunSeeds(site *loader.Site, cfg Config, n int) *SeedSweep {
-	sweep, _ := RunSeedsParallel(site, cfg, n, ParallelConfig{Workers: 1})
-	return sweep
+	// Degraded lists runs that completed partially (budget, cancellation,
+	// safety bounds) as "seed <seed>: reason" in seed order. Their
+	// partial results are still folded in.
+	Degraded []string `json:"degraded,omitempty"`
+	// Ops is the total operation count of the runs; it is not marshalled.
+	Ops int `json:"-"`
 }
 
 // Stable returns the locations reported by every seed, and Flaky those
@@ -582,15 +572,6 @@ func (h *Harm) Total() int {
 		}
 	}
 	return n
-}
-
-// ClassifyHarmful re-runs site under adversarial schedules (cfg.HarmRuns of
-// them) and marks which of res.Reports are harmful: a race is harmful if
-// any adversarial run exhibits its failure behaviour. (Serial; see
-// ClassifyHarmfulParallel.)
-func ClassifyHarmful(site *loader.Site, cfg Config, res *Result) *Harm {
-	h, _ := ClassifyHarmfulParallel(site, cfg, res, ParallelConfig{Workers: 1})
-	return h
 }
 
 // judge folds one adversarial run's observations into the

@@ -77,7 +77,10 @@ func TestHarmOracleDemoSite(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Filters = true
 	res := RunConfig(demoSite(), cfg)
-	h := ClassifyHarmful(demoSite(), cfg, res)
+	h, err := ClassifyHarmfulParallel(demoSite(), cfg, res, ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.Total() == 0 {
 		t.Fatalf("harm oracle found nothing harmful; reports: %v", res.Reports)
 	}
@@ -108,7 +111,10 @@ addPopUp();
 <div id="last"></div>`)
 	cfg := DefaultConfig(1)
 	res := RunConfig(site, cfg)
-	h := ClassifyHarmful(site, cfg, res)
+	h, err := ClassifyHarmfulParallel(site, cfg, res, ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range res.Reports {
 		if report.Classify(r) == report.HTML && h.Harmful[i] {
 			t.Errorf("guarded poll classified harmful: %v (%v)", r, h.Evidence)
@@ -253,7 +259,10 @@ func TestHarmRunsMultiple(t *testing.T) {
 	cfg.Filters = true
 	cfg.HarmRuns = 3
 	res := RunConfig(demoSite(), cfg)
-	h := ClassifyHarmful(demoSite(), cfg, res)
+	h, err := ClassifyHarmfulParallel(demoSite(), cfg, res, ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.Total() == 0 {
 		t.Fatal("multi-run harm oracle found nothing")
 	}
@@ -280,9 +289,12 @@ func TestAjaxRacePattern(t *testing.T) {
 
 func TestRunCorpusSmoke(t *testing.T) {
 	cfg := DefaultConfig(1)
-	results := RunCorpus(8, func(i int) *loader.Site {
+	results, err := RunCorpusParallel(8, func(i int) *loader.Site {
 		return sitegen.Generate(sitegen.SpecFor(1, i))
-	}, cfg)
+	}, cfg, ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 8 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -296,7 +308,10 @@ func TestRunCorpusSmoke(t *testing.T) {
 }
 
 func TestRunSeedsSweep(t *testing.T) {
-	sweep := RunSeeds(demoSite(), DefaultConfig(1), 5)
+	sweep, err := RunSeedsParallel(demoSite(), DefaultConfig(1), 5, ParallelConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sweep.Seeds != 5 || len(sweep.PerSeed) != 5 {
 		t.Fatalf("sweep shape: %+v", sweep)
 	}
