@@ -57,13 +57,16 @@ predictive:
 # on admitted locations, and its tier counters against the
 # certificate-free reference), the corpus differential (subset at every
 # rate, byte identity at rate 1), worker-count determinism, the
-# escalation contract, the tiering API validation tests, the serve-layer
-# tier tests (capability endpoint, default tier, cache cross-population),
-# and the pinned sampled metrics golden. The E11 table reprints the
-# cost/recall trade.
+# escalation contract, the replay escalation against direct exact runs
+# (including a run cut short by a safety bound), the live-clock log
+# replay and the chunked trace recorder it rests on, the tiering API
+# validation tests, the serve-layer tier tests (capability endpoint,
+# default tier, cache cross-population, no caching of interrupted
+# escalations), and the pinned sampled metrics golden. The E11 table
+# reprints the cost/recall trade.
 sampled:
-	go test -race -run 'TestSampled|TestDifferentialSampled|TestConfigValidate|TestDetectorKindRoundTrip|TestWithConfigDelegation|TestRunPanics|TestGoldenMetricsSampled|TestShadowMatchesMapOracles' . ./internal/race/
-	go test -race -run 'TestSampled|TestDetectors|TestEscalation|TestDefaultDetector' ./internal/serve/
+	go test -race -run 'TestSampled|TestSampledReplayEscalation|TestSampledEscalationInterrupted|TestDifferentialSampled|TestConfigValidate|TestDetectorKindRoundTrip|TestWithConfigDelegation|TestRunPanics|TestGoldenMetricsSampled|TestShadowMatchesMapOracles|TestRecorder|TestLiveClocksLogReplay' . ./internal/race/ ./internal/hb/
+	go test -race -run 'TestSampled|TestDetectors|TestEscalation|TestEscalationInterruptedNotCached|TestDefaultDetector' ./internal/serve/
 	go run ./cmd/experiments -sampled
 
 # Schedule-pruning battery under the Go race detector: the pruned-vs-

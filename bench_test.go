@@ -228,6 +228,28 @@ func BenchmarkDetectorSampledFullRate(b *testing.B) {
 	b.ReportMetric(float64(hits), "hits")
 }
 
+// BenchmarkSampledEscalation is one sampled-tier job end to end on a
+// stress page at the default rate: the cheap pass, which hits on this
+// page, and the escalation to the exact detector. Compare it with the
+// same page under DetectorPairwiseVC (the exact arm) for the tier's
+// overhead over one exact run.
+func BenchmarkSampledEscalation(b *testing.B) {
+	site := stressGen(0)
+	for _, det := range []DetectorKind{DetectorSampled, EscalationDetector} {
+		b.Run(det.String(), func(b *testing.B) {
+			cfg := DefaultConfig(1)
+			cfg.Detector = det
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := RunConfig(site, cfg)
+				if det == DetectorSampled && !res.Sampled.Escalated {
+					b.Fatal("the stress page did not escalate; the benchmark measures the cheap pass only")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDetectorRunFloor measures one default-configuration Run with
 // allocations reported, on a near-empty page, where the per-run fixed
 // costs (detector tables, browser set-up) are all there is, and on one

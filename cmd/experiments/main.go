@@ -733,8 +733,9 @@ func runPredictive(seed int64) {
 // runSampledTier is E11: what the sampled fast tier costs and recovers at
 // each rate, against the exact detector's ground truth on the same corpus
 // slice. Cost shows up as the fraction of locations shadowed and accesses
-// checked; recovery as racing locations recalled (escalation re-runs a
-// hit site exactly, so one cheap hit buys that site's full location set).
+// checked; recovery as racing locations recalled (escalation replays a
+// hit site's run under the exact detector, so one cheap hit buys that
+// site's full location set).
 func runSampledTier(seed int64, n int) {
 	if n > 50 {
 		n = 50

@@ -242,6 +242,15 @@ func (b *Browser) random() float64 {
 // Detector returns the active race detector.
 func (b *Browser) Detector() race.Detector { return b.detector }
 
+// SetDetector replaces the session's detector, typically after the run
+// with one that analyzed the same accesses offline. A *race.Recorder
+// becomes the session's trace source (Trace); any other detector leaves
+// the session without a trace.
+func (b *Browser) SetDetector(d race.Detector) {
+	b.detector = d
+	b.recorder, _ = d.(*race.Recorder)
+}
+
 // Reports returns the races found so far.
 func (b *Browser) Reports() []race.Report { return b.detector.Reports() }
 
@@ -250,7 +259,7 @@ func (b *Browser) Trace() []race.Access {
 	if b.recorder == nil {
 		return nil
 	}
-	return b.recorder.Trace
+	return b.recorder.Trace()
 }
 
 // Top returns the top-level window (nil before LoadPage).

@@ -498,3 +498,77 @@ func BenchmarkClocksQuery(b *testing.B) {
 		c.Concurrent(a, d)
 	}
 }
+
+// TestLiveClocksLogReplay: a logged engine's mutations, applied to a fresh
+// engine with the same queries at the same log positions, reproduce it
+// exactly — generations, chains, materialized clocks, arena use and every
+// answer — including late edges into already-finalized operations, which
+// bump Gen and force re-finalization.
+func TestLiveClocksLogReplay(t *testing.T) {
+	type query struct {
+		at   int // log length when the query ran
+		a, b op.ID
+	}
+	bumped := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 4 + r.Intn(40)
+		src := NewLiveClocks()
+		src.LogMutations()
+		var queries []query
+		var answers [][3]bool
+		ask := func(c *LiveClocks, q query) [3]bool {
+			return [3]bool{c.HappensBefore(q.a, q.b), c.OrderedEpoch(c.Epoch(q.a), q.b), c.Concurrent(q.a, q.b)}
+		}
+		for b := 1; b <= n; b++ {
+			src.AddNode(op.ID(b))
+			for a := 1; a < b; a++ {
+				if r.Float64() < 0.12 {
+					src.Edge(op.ID(a), op.ID(b))
+				}
+			}
+			// Late edge into an operation that earlier queries may have
+			// finalized.
+			if b > 3 && r.Intn(4) == 0 {
+				x := 1 + r.Intn(b-2)
+				src.Edge(op.ID(x), op.ID(x+1+r.Intn(b-x-1)))
+			}
+			for k := r.Intn(3); k > 0; k-- {
+				q := query{at: len(src.Log()), a: op.ID(1 + r.Intn(b)), b: op.ID(1 + r.Intn(b))}
+				queries = append(queries, q)
+				answers = append(answers, ask(src, q))
+			}
+		}
+		if src.Gen() > 0 {
+			bumped++
+		}
+		dst := NewLiveClocks()
+		log, applied := src.Log(), 0
+		for i, q := range queries {
+			dst.Apply(log[applied:q.at])
+			applied = q.at
+			if ask(dst, q) != answers[i] {
+				return false
+			}
+		}
+		dst.Apply(log[applied:])
+		if dst.Gen() != src.Gen() || dst.Chains() != src.Chains() ||
+			dst.MaterializedClocks() != src.MaterializedClocks() || dst.MemoryBytes() != src.MemoryBytes() {
+			return false
+		}
+		for a := op.ID(1); int(a) <= n; a++ {
+			for b := op.ID(1); int(b) <= n; b++ {
+				if src.HappensBefore(a, b) != dst.HappensBefore(a, b) {
+					return false
+				}
+			}
+		}
+		return len(dst.Log()) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if bumped < 50 {
+		t.Errorf("only %d of 200 engines saw a late-edge invalidation", bumped)
+	}
+}

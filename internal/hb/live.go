@@ -47,6 +47,15 @@ type LiveClocks struct {
 	mats       int     // number of clocks joined, not shared (laziness metric)
 	allocWords int     // int32 words handed out by alloc
 	fstack     []frame // reusable traversal stack (no per-query allocation)
+
+	logging bool       // record mutations (LogMutations)
+	log     []Mutation // every AddNode/Edge call since LogMutations
+}
+
+// Mutation is one structural call a LiveClocks received: the edge
+// From ⇝ To, or AddNode(To) when From is op.None.
+type Mutation struct {
+	From, To op.ID
 }
 
 // frame is one entry of the iterative ancestors-first traversals.
@@ -64,7 +73,38 @@ var (
 )
 
 // AddNode makes room for id.
-func (c *LiveClocks) AddNode(id op.ID) { c.grow(id) }
+func (c *LiveClocks) AddNode(id op.ID) {
+	if c.logging {
+		c.log = append(c.log, Mutation{To: id})
+	}
+	c.grow(id)
+}
+
+// LogMutations makes c record every later AddNode and Edge call (Log).
+// Queries are not recorded: they change only lazily computed state, which
+// a replay recomputes from its own queries. Off by default, so an engine
+// nobody replays pays one flag test per call.
+func (c *LiveClocks) LogMutations() { c.logging = true }
+
+// Log returns the mutations recorded since LogMutations, in arrival order.
+// Its length is a position in c's structural history: the engine after
+// Apply(Log()[:n]) on a fresh LiveClocks holds the nodes and edges c held
+// when its log had length n.
+func (c *LiveClocks) Log() []Mutation { return c.log }
+
+// Apply feeds logged mutations to c in order, each as the AddNode or Edge
+// call it records. Interleaving Apply with the queries c's source engine
+// saw at the same log positions reproduces that engine's state exactly:
+// chains, generations, materialized clocks and arena use.
+func (c *LiveClocks) Apply(log []Mutation) {
+	for _, m := range log {
+		if m.From == op.None {
+			c.AddNode(m.To)
+		} else {
+			c.Edge(m.From, m.To)
+		}
+	}
+}
 
 func (c *LiveClocks) grow(id op.ID) {
 	n := int(id)
@@ -84,6 +124,9 @@ func (c *LiveClocks) grow(id op.ID) {
 func (c *LiveClocks) Edge(a, b op.ID) {
 	if a == b || a == op.None || b == op.None {
 		return
+	}
+	if c.logging {
+		c.log = append(c.log, Mutation{From: a, To: b})
 	}
 	c.grow(max(a, b))
 	for _, p := range c.preds[b-1] {

@@ -30,7 +30,8 @@
 //
 //   - Recorder wraps another detector while capturing the access trace so
 //     the same execution can be replayed against a different happens-before
-//     representation (experiment E4).
+//     representation (experiment E4), or — with the live oracle's mutation
+//     log — against the same one under another detector (ReplayLive).
 //
 //   - Predict is the predictive pass: it replays one recorded trace over
 //     the weakened order and confirms a witness reordering per race.
@@ -492,17 +493,75 @@ func (d *AccessSet) OnAccess(a Access) {
 func (d *AccessSet) Reports() []Report { return d.reports }
 
 // Recorder wraps a Detector, capturing the access trace for later replay.
+//
+// The trace grows in chunks that double up to a fixed size and are never
+// copied while recording; Trace flattens them once. A stress page records
+// tens of thousands of 72-byte accesses, and growing one slice by doubling
+// would copy every earlier prefix on the way.
 type Recorder struct {
 	Inner Detector
-	Trace []Access
+	// Clocks, when set, stamps every access with the length of its
+	// mutation log (see hb.LiveClocks.LogMutations), so ReplayLive can
+	// interleave the log and the trace as the recorded run did.
+	Clocks *hb.LiveClocks
+
+	full  [][]Access // filled chunks, in order
+	tail  []Access   // the chunk being filled
+	marks []int32    // marks[i]: Clocks' log length at access i
 }
+
+// Recorder chunk capacities: the first chunk holds recorderChunkMin
+// accesses, and each later one twice its predecessor, up to
+// recorderChunkMax.
+const (
+	recorderChunkMin = 128
+	recorderChunkMax = 4096
+)
 
 // OnAccess implements Detector.
 func (r *Recorder) OnAccess(a Access) {
-	r.Trace = append(r.Trace, a)
+	if r.Clocks != nil {
+		r.marks = append(r.marks, int32(len(r.Clocks.Log())))
+	}
+	if len(r.tail) == cap(r.tail) {
+		r.grow()
+	}
+	r.tail = append(r.tail, a)
 	if r.Inner != nil {
 		r.Inner.OnAccess(a)
 	}
+}
+
+// grow retires the full tail and starts the next chunk.
+func (r *Recorder) grow() {
+	size := recorderChunkMin
+	if r.tail != nil {
+		r.full = append(r.full, r.tail)
+		size = min(2*cap(r.tail), recorderChunkMax)
+	}
+	r.tail = make([]Access, 0, size)
+}
+
+// Trace returns the recorded accesses in order. The first call after
+// recording flattens the chunks into one slice, which later calls return
+// as is; recording may continue afterwards.
+func (r *Recorder) Trace() []Access {
+	if len(r.full) == 0 {
+		return r.tail
+	}
+	n := len(r.tail)
+	for _, c := range r.full {
+		n += len(c)
+	}
+	flat := make([]Access, 0, n)
+	for _, c := range r.full {
+		flat = append(flat, c...)
+	}
+	flat = append(flat, r.tail...)
+	// The flat slice is full (len == cap), so the next access starts a
+	// fresh chunk instead of copying it.
+	r.full, r.tail = nil, flat
+	return flat
 }
 
 // Reports implements Detector.
@@ -511,6 +570,34 @@ func (r *Recorder) Reports() []Report {
 		return nil
 	}
 	return r.Inner.Reports()
+}
+
+// ReplayLive feeds the recorded trace to d while applying r.Clocks'
+// mutation log to c, each access after exactly the mutations the
+// recording saw before it, and the rest of the log at the end. With c a
+// fresh engine and d built over it, d sees what it would have seen
+// running live in the recorded execution: its reports and counters, and
+// c's chains, generations and materialized clocks, equal a live run's.
+// r.Clocks must be set, and logging since before the first access.
+func (r *Recorder) ReplayLive(c *hb.LiveClocks, d Detector) []Report {
+	log := r.Clocks.Log()
+	applied, i := 0, 0
+	feed := func(chunk []Access) {
+		for _, a := range chunk {
+			if m := int(r.marks[i]); m > applied {
+				c.Apply(log[applied:m])
+				applied = m
+			}
+			d.OnAccess(a)
+			i++
+		}
+	}
+	for _, chunk := range r.full {
+		feed(chunk)
+	}
+	feed(r.tail)
+	c.Apply(log[applied:])
+	return d.Reports()
 }
 
 // Replay feeds a recorded trace to a detector and returns its reports.

@@ -1,7 +1,9 @@
 package race
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -187,11 +189,11 @@ func TestRecorderReplay(t *testing.T) {
 	if len(rec.Reports()) != 1 {
 		t.Fatalf("recorder inner missed race")
 	}
-	if len(rec.Trace) != 2 {
-		t.Fatalf("trace length %d, want 2", len(rec.Trace))
+	if len(rec.Trace()) != 2 {
+		t.Fatalf("trace length %d, want 2", len(rec.Trace()))
 	}
 	// Replay against a fresh detector reproduces the report.
-	got := Replay(rec.Trace, NewPairwise(g))
+	got := Replay(rec.Trace(), NewPairwise(g))
 	if len(got) != 1 {
 		t.Errorf("replay got %d reports, want 1", len(got))
 	}
@@ -409,5 +411,33 @@ func TestDetectorSoundnessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecorderChunkedTrace: the chunked recorder returns every access in
+// order across chunk boundaries, keeps recording after a Trace call, and
+// hands the inner detector the same stream.
+func TestRecorderChunkedTrace(t *testing.T) {
+	inner := &Recorder{}
+	rec := &Recorder{Inner: inner}
+	var want []Access
+	for i := 0; i < 3*recorderChunkMax+17; i++ {
+		a := wr(loc(fmt.Sprint(i%97)), op.ID(1+i%5))
+		rec.OnAccess(a)
+		want = append(want, a)
+		if i == recorderChunkMin+3 || i == 2*recorderChunkMax {
+			if got := rec.Trace(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %d accesses: Trace() differs from the recorded stream", i+1)
+			}
+		}
+	}
+	if got := rec.Trace(); !reflect.DeepEqual(got, want) {
+		t.Fatal("final Trace() differs from the recorded stream")
+	}
+	if got := rec.Trace(); !reflect.DeepEqual(got, want) {
+		t.Fatal("repeated Trace() differs")
+	}
+	if !reflect.DeepEqual(inner.Trace(), want) {
+		t.Fatal("inner detector saw a different stream")
 	}
 }

@@ -35,7 +35,8 @@ import (
 // Below rate 1 the hits are always a subset of the exact detector's
 // reports (the differential battery asserts this at every rate). A hit
 // does not try to be the final answer: the session layer escalates any
-// run with hits to an exact second-pass re-run (see
+// run with hits to the exact detector, replaying the run's recorded
+// accesses and happens-before mutations (Recorder.ReplayLive; see
 // webracer.DetectorSampled).
 type Sampled struct {
 	Pairwise

@@ -568,12 +568,13 @@ func (s *Server) executeDetect(r *resolved) ([]byte, bool, error) {
 }
 
 // crossPopulateExact stores an escalated sampled run's result under the
-// equivalent *exact* request's cache key as well. The escalation second
-// pass already paid for the exact run — runSampled re-executes the same
-// (site, seed, config) under webracer.EscalationDetector — so a later
-// direct exact request for this site is a cache hit, byte-identical to
-// what a cold exact run would produce (the determinism contract makes
-// the two indistinguishable; tests assert the bytes). The Cache is
+// equivalent *exact* request's cache key as well. The escalation already
+// computed the exact result — the tier replays the cheap pass's recorded
+// run under webracer.EscalationDetector, which reports what a direct
+// exact run of the same (site, seed, config) reports — so a later direct
+// exact request for this site is a cache hit, byte-identical to what a
+// cold exact run would produce (the determinism contract makes the two
+// indistinguishable; tests assert the bytes). The Cache is
 // internally locked, so this is safe from the worker goroutine.
 func (s *Server) crossPopulateExact(r *resolved, res *webracer.Result) {
 	r2 := *r
@@ -811,7 +812,7 @@ type DetectorsResponse struct {
 	Detectors []DetectorInfo `json:"detectors"`
 	// Default is the service's default tier (Config.DefaultDetector).
 	Default string `json:"default"`
-	// Escalation is the exact detector sampled hits re-run under.
+	// Escalation is the exact detector sampled hits escalate to.
 	Escalation string `json:"escalation"`
 }
 

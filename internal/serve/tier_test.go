@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"webracer"
+	"webracer/internal/sitegen"
 )
 
 // TestDetectorsEndpoint pins the capability listing: every kind the
@@ -184,4 +187,35 @@ func TestSampledBadRequests(t *testing.T) {
 		}
 	}()
 	NewServer(Config{DefaultDetector: "quantum"})
+}
+
+// TestEscalationInterruptedNotCached: a sampled job whose run trips a
+// safety bound after the cheap detector hit still escalates, but its
+// response depends on the bound, not the key's inputs alone: it is
+// neither cached nor cross-populated under the exact detector's key.
+func TestEscalationInterruptedNotCached(t *testing.T) {
+	site := sitegen.Generate(sitegen.SpecFor(1, 1))
+	cfg := webracer.DefaultConfig(7)
+	base := webracer.RunConfig(site, cfg)
+	cfg.Browser.MaxVirtualTime = base.Browser.Clock() / 2
+	cfg.Detector = webracer.DetectorSampled
+	cfg.SampleRate = 1
+	s, _ := newTestServer(t, Config{Workers: 1})
+	body, cacheable, err := s.executeDetect(&resolved{kind: kindDetect, site: site, cfg: cfg, key: "budget"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dr DetectResponse
+	if err := json.Unmarshal(body, &dr); err != nil {
+		t.Fatal(err)
+	}
+	if !dr.Escalated || dr.Interrupted == "" {
+		t.Fatalf("want an interrupted, escalated job: escalated=%v interrupted=%q", dr.Escalated, dr.Interrupted)
+	}
+	if cacheable {
+		t.Error("interrupted escalated job is cacheable")
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("cache holds %d entries after an interrupted job, want 0 (no cross-population)", n)
+	}
 }

@@ -165,12 +165,10 @@ func TestParseMemoSyntaxErrors(t *testing.T) {
 
 // ---- byte identity against plain runs ----
 
-// plainRun is one detection run that parses without a memo: RunConfig,
-// except that the sampled tier runs without the memo Run gives it.
+// plainRun is one detection run that parses without a memo. A single
+// Run — the sampled tier's included, which runs the page once — never
+// carries one.
 func plainRun(site *loader.Site, cfg Config) *Result {
-	if cfg.Detector == DetectorSampled {
-		return runSampled(site, cfg)
-	}
 	return RunConfig(site, cfg)
 }
 

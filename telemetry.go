@@ -76,8 +76,8 @@ func foldTelemetry(res *Result, m *obs.Metrics) {
 
 // detectorOf unwraps the detector chain down to a core of type T, looking
 // through the trace Recorder. Nil when a different detector runs: a
-// Sampled core is not a *race.Pairwise, so a sampled run folds no
-// detector.* counters.
+// Sampled core is not a *race.Pairwise, so a sampled run that did not
+// escalate folds no detector.* counters.
 func detectorOf[T race.Detector](d race.Detector) T {
 	for {
 		if v, ok := d.(T); ok {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"webracer/internal/hb"
 	"webracer/internal/loader"
 	"webracer/internal/obs"
 	"webracer/internal/race"
@@ -72,56 +73,85 @@ type SampledInfo struct {
 	// non-zero value triggers escalation. Hits are real races (a subset
 	// of the exact detector's reports), never heuristic flags.
 	Hits int `json:"hits"`
-	// Escalated reports that the run was re-executed with the exact
-	// detector (DetectorPairwiseVC) and the Result holds that second
-	// pass's reports.
+	// Escalated reports that the run's recorded accesses were replayed
+	// under the exact detector (EscalationDetector) and the Result holds
+	// that detector's reports.
 	Escalated bool `json:"escalated,omitempty"`
 	// Stats is the tier's work split: checked vs skipped accesses, epoch
 	// vs vector resolution.
 	Stats race.SampledStats `json:"stats"`
 }
 
-// EscalationDetector is the exact tier a sampled hit re-runs under: the
+// EscalationDetector is the exact tier a sampled hit escalates to: the
 // pairwise algorithm over the live vector-clock oracle, the fastest exact
-// configuration (E4). Rate-1 byte-identity is stated against it, and
-// webracerd cross-populates its cache under this detector's key when a
-// sampled job escalates.
+// configuration (E4). The escalation replays the cheap pass's accesses
+// and happens-before mutations under it instead of running the page
+// again. Rate-1 byte-identity is stated against it, and webracerd
+// cross-populates its cache under this detector's key when a sampled job
+// escalates.
 const EscalationDetector = DetectorPairwiseVC
 
-// runSampled executes the sampled tier: one cheap pass, then — only if
-// the cheap pass hit — an exact re-run of the same (site, config) whose
-// Result replaces the tier's, annotated with the tier's accounting.
+// runSampled executes the sampled tier: one browser run under the cheap
+// detector, recording its accesses and every mutation of its live
+// vector-clock oracle. If the cheap pass hit, the recording is replayed
+// into a fresh oracle under the exact detector, in the order the run
+// produced it, so the exact detector answers what it would have answered
+// running live; the Result is then the exact detector's view of the same
+// session, annotated with the tier's accounting.
 //
 // The subset/identity contract falls out directly: a run with no hits
 // reports nothing (trivially a subset of the exact reports), and a run
 // with hits reports exactly the exact detector's output. At rate 1 the
 // cheap tier's hit predicate equals "the exact detector reports ≥ 1
 // race", so the final output is byte-identical to the exact detector's
-// on every site. Determinism is inherited: both passes are pure
-// functions of (site bytes, seed, config), so the tier is too — which is
-// what lets webracerd cache sampled responses content-addressed.
+// on every site. Determinism is inherited: the run is a pure function of
+// (site bytes, seed, config) and the replay a pure function of the run,
+// so the tier is too — which is what lets webracerd cache sampled
+// responses content-addressed. There is one run, so one
+// Config.RunTimeout budget, and an interrupted run escalates over the
+// accesses it made.
 func runSampled(site *loader.Site, cfg Config) *Result {
-	res := runOnce(site, cfg)
-	info := &SampledInfo{Rate: cfg.effectiveSampleRate()}
-	if sd := detectorOf[*race.Sampled](res.Browser.Detector()); sd != nil {
-		info.Hits = sd.Stats().Hits
-		info.Stats = sd.Stats()
+	reportAll := cfg.Browser.ReportAll
+	cheap := detectorFactory(cfg, reportAll)
+	var rec *race.Recorder
+	run := cfg
+	// The tier's recorder keeps the trace; the browser's would duplicate it.
+	run.RecordTrace = false
+	run.Browser.Detector = func(g *hb.Graph) race.Detector {
+		d := cheap(g)
+		g.Mirror.LogMutations()
+		rec = &race.Recorder{Inner: d, Clocks: g.Mirror}
+		return rec
 	}
+	res := execute(site, run)
+	st := rec.Inner.(*race.Sampled).Stats()
+	info := &SampledInfo{Rate: cfg.effectiveSampleRate(), Hits: st.Hits, Stats: st}
+	final := cfg
 	if info.Hits > 0 {
-		exact := cfg
-		exact.Detector = EscalationDetector
-		exact.SampleRate = 0
-		res = runOnce(site, exact)
+		final.Detector = EscalationDetector
+		final.SampleRate = 0
+		// The factory installs a fresh mirror on the finished graph.
+		g := res.Browser.HB
+		exact := detectorFactory(final, reportAll)(g)
+		rec.ReplayLive(g.Mirror, exact)
+		rec.Inner = exact
 		info.Escalated = true
 	}
+	if cfg.RecordTrace {
+		res.Browser.SetDetector(rec)
+	} else {
+		res.Browser.SetDetector(rec.Inner)
+	}
+	collect(res, final)
 	res.Sampled = info
 	foldSampledTelemetry(res.Metrics, info)
 	return res
 }
 
 // foldSampledTelemetry adds the tier's counters (race.sampled.*) to the
-// run's registry. On an escalated run the registry is the exact pass's;
-// these counters describe the cheap pass that triggered it.
+// run's registry. On an escalated run the rest of the registry describes
+// the exact detector's replay; these counters describe the cheap pass
+// that triggered it.
 func foldSampledTelemetry(m *obs.Metrics, info *SampledInfo) {
 	if m == nil || info == nil {
 		return

@@ -69,12 +69,13 @@ const (
 	// DetectorSampled is the fast tier for bulk traffic: the pairwise
 	// detector of DetectorPairwiseVC, checking only a deterministically
 	// sampled subset of locations (Config.SampleRate) with zero
-	// steady-state allocations. Any sampled hit escalates the
-	// run to an exact second pass (DetectorPairwiseVC) whose reports
-	// replace the tier's; Result.Sampled records the tier's accounting
-	// either way. At rate 1 the output equals the exact detector's; at
-	// lower rates reports are always a subset of it. See DESIGN.md
-	// "Sampled tier".
+	// steady-state allocations. Any sampled hit escalates the run to
+	// the exact detector (DetectorPairwiseVC), replayed over the
+	// accesses and happens-before mutations the run recorded, whose
+	// reports replace the tier's; the page runs once either way.
+	// Result.Sampled records the tier's accounting. At rate 1 the
+	// output equals the exact detector's; at lower rates reports are
+	// always a subset of it. See DESIGN.md "Sampled tier".
 	DetectorSampled
 )
 
@@ -307,8 +308,9 @@ type Result struct {
 	Predictive *race.PredictiveResult
 	// Sampled is the fast tier's accounting (rate, hits, whether the run
 	// escalated to the exact detector); nil unless the run used
-	// DetectorSampled. On an escalated run the rest of the Result is the
-	// exact second pass's.
+	// DetectorSampled. On an escalated run the rest of the Result is what
+	// a direct DetectorPairwiseVC run reports: the same session, analyzed
+	// by the exact detector.
 	Sampled *SampledInfo
 	// Metrics is the run's telemetry registry (nil unless Config.Telemetry).
 	Metrics *obs.Metrics
@@ -332,8 +334,7 @@ func Run(site *loader.Site, opts ...Option) *Result {
 		panic(err)
 	}
 	if cfg.Detector == DetectorSampled && cfg.Browser.Detector == nil {
-		// The escalation re-run parses the same scripts as the cheap pass.
-		return runSampled(site, withParseMemo(cfg))
+		return runSampled(site, cfg)
 	}
 	return runOnce(site, cfg)
 }
@@ -387,9 +388,17 @@ func RunConfig(site *loader.Site, cfg Config) *Result {
 }
 
 // runOnce executes one detection pass with cfg taken literally — no
-// validation, no tiering. Run (and through it RunConfig) is the only
-// caller besides the sampled tier's escalation second pass.
+// validation, no tiering: execute, then collect. The sampled tier calls
+// the two halves itself, with its escalation in between.
 func runOnce(site *loader.Site, cfg Config) *Result {
+	return collect(execute(site, cfg), cfg)
+}
+
+// execute runs the browser over the site — load, then exploration — and
+// returns the Result's session half: Site, Browser, ExploreStats,
+// FaultEvents and the telemetry sinks. collect reads the detection half
+// off the finished session.
+func execute(site *loader.Site, cfg Config) *Result {
 	bcfg := cfg.Browser
 	bcfg.Seed = cfg.Seed
 	bcfg.SharedFrameGlobals = true
@@ -449,7 +458,7 @@ func runOnce(site *loader.Site, cfg Config) *Result {
 		entry = "index.html"
 	}
 	b.LoadPage(entry)
-	res := &Result{Site: site.Name, Browser: b}
+	res := &Result{Site: site.Name, Browser: b, Metrics: m, Trace: tl}
 	if cfg.Explore {
 		if cfg.Exhaustive {
 			res.ExploreStats = explore.Exhaustive(b, explore.Default(), 0)
@@ -457,6 +466,17 @@ func runOnce(site *loader.Site, cfg Config) *Result {
 			res.ExploreStats = explore.Run(b, explore.Default())
 		}
 	}
+	if inj != nil {
+		res.FaultEvents = inj.Events()
+	}
+	return res
+}
+
+// collect completes an executed Result under cfg: the session detector's
+// reports (or the predictive pass's), the configured filters, the fault
+// plan's environment label, and the telemetry fold.
+func collect(res *Result, cfg Config) *Result {
+	b, m := res.Browser, res.Metrics
 	res.RawReports = b.Reports()
 	if cfg.Detector == DetectorPredictive {
 		// Predictive pass over the recorded execution: its reports
@@ -483,9 +503,6 @@ func runOnce(site *loader.Site, cfg Config) *Result {
 	res.Interrupted = b.Interrupted
 	if cfg.Fault != nil {
 		res.Fault = cfg.Fault
-		if inj != nil {
-			res.FaultEvents = inj.Events()
-		}
 		env := cfg.Fault.Label()
 		for i := range res.RawReports {
 			res.RawReports[i].Env = env
@@ -499,7 +516,6 @@ func runOnce(site *loader.Site, cfg Config) *Result {
 			}
 		}
 	}
-	res.Metrics, res.Trace = m, tl
 	foldTelemetry(res, m)
 	return res
 }
