@@ -35,9 +35,11 @@ chaos:
 # corrupts 10% of the persisted store entries, and asserts byte-identical
 # results vs a healthy single node with zero 5xx and golden-pinned
 # retry/quarantine counters (internal/serve/testdata/golden/). The store
-# crash-recovery battery and the router/persistence tests ride along.
+# crash-recovery battery, the router/persistence tests, and the request
+# memo's tests and FuzzServeKey seed corpus (a repeat answered from its
+# bytes must equal the decode path's answer) ride along.
 cluster:
-	go test -race -run 'TestChaos|TestRouter|TestStore|TestRequestBodyLimit|TestRetryAfter' ./internal/serve/
+	go test -race -run 'TestChaos|TestRouter|TestStore|TestRequestBodyLimit|TestRetryAfter|TestMemo|FuzzServeKey' ./internal/serve/
 	go test -race ./internal/store/
 
 # Predictive-detection battery under the Go race detector: the

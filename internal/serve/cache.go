@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 
 	"webracer/internal/obs"
@@ -13,6 +14,20 @@ import (
 // its budget on overhead alone.
 const entryOverhead = 128
 
+// bodyKey names a request by its endpoint and the SHA-256 of its exact
+// body bytes: the key of the request memo. Two requests share a bodyKey
+// only if they are the same bytes sent to the same endpoint, so they
+// resolve to the same job under one server config.
+type bodyKey struct {
+	kind jobKind
+	sum  [sha256.Size]byte
+}
+
+// newBodyKey digests one request's bytes for its endpoint.
+func newBodyKey(kind jobKind, raw []byte) bodyKey {
+	return bodyKey{kind: kind, sum: sha256.Sum256(raw)}
+}
+
 // Cache is the content-addressed result cache: stable response bytes
 // keyed by the request's canonical identity (see requestKey), bounded by
 // a byte budget with least-recently-used eviction.
@@ -23,6 +38,13 @@ const entryOverhead = 128
 // are the one exception — their bytes depend on wall-clock timing — and
 // the server never Puts them.
 //
+// The cache also carries the server's request memo: the body keys of
+// requests that resolved to a cached result, so a repeat of the same
+// bytes is answered without decoding them (see recall). A memo entry
+// lives and dies with the result it names and is charged nothing against
+// the budget, so remembering never displaces a result. Each result
+// remembers one request: the latest spelling that resolved to it.
+//
 // All methods are safe for concurrent use. Hit/miss/eviction traffic is
 // counted in the server's obs registry under serve.cache.*.
 type Cache struct {
@@ -31,6 +53,7 @@ type Cache struct {
 	size   int64
 	ll     *list.List // front = most recently used
 	items  map[string]*list.Element
+	memo   map[bodyKey]*list.Element // remembered requests → their result
 
 	hits, misses, evictions, puts, tooLarge *obs.Counter
 	bytes, entries                          *obs.Gauge
@@ -40,6 +63,7 @@ type Cache struct {
 type centry struct {
 	key  string
 	body []byte
+	memo bodyKey // the request remembered for this result; zero if none
 }
 
 // cost is the budget charge for one entry.
@@ -57,6 +81,7 @@ func NewCache(budget int64, m *obs.Metrics) *Cache {
 		budget:    budget,
 		ll:        list.New(),
 		items:     map[string]*list.Element{},
+		memo:      map[bodyKey]*list.Element{},
 		hits:      m.Counter("serve.cache.hits"),
 		misses:    m.Counter("serve.cache.misses"),
 		evictions: m.Counter("serve.cache.evictions"),
@@ -99,6 +124,7 @@ func (c *Cache) Put(key string, body []byte) {
 	if el, ok := c.items[key]; ok {
 		old := el.Value.(*centry)
 		c.size += e.cost() - old.cost()
+		e.memo = old.memo
 		el.Value = e
 		c.ll.MoveToFront(el)
 	} else {
@@ -114,11 +140,55 @@ func (c *Cache) Put(key string, body []byte) {
 		victim := back.Value.(*centry)
 		c.ll.Remove(back)
 		delete(c.items, victim.key)
+		delete(c.memo, victim.memo)
 		c.size -= victim.cost()
 		c.evictions.Inc()
 	}
 	c.bytes.Set(c.size)
 	c.entries.Set(int64(c.ll.Len()))
+}
+
+// recall answers a request from its bytes alone: when bk is remembered
+// for a cached result, it returns that result's key and bytes, marks the
+// entry most recently used and counts a hit — exactly what Get on the key
+// would do. A request not remembered counts nothing; its caller decodes it
+// and goes through Get.
+func (c *Cache) recall(bk bodyKey) (string, []byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.memo[bk]
+	if !ok {
+		return "", nil, false
+	}
+	c.hits.Inc()
+	c.ll.MoveToFront(el)
+	e := el.Value.(*centry)
+	return e.key, e.body, true
+}
+
+// remember records that the request bk resolved to key, if key's result
+// is cached; otherwise it does nothing (there is nothing to answer with).
+// A result remembers one request, so this forgets the spelling it
+// remembered before, which costs that spelling one decode on its next
+// request, never a different answer. A zero bk — a request resolved
+// without its bytes — is never remembered.
+func (c *Cache) remember(bk bodyKey, key string) {
+	if bk.kind == "" {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*centry)
+	if e.memo == bk {
+		return
+	}
+	delete(c.memo, e.memo)
+	e.memo = bk
+	c.memo[bk] = el
 }
 
 // Len is the number of cached entries.
@@ -133,4 +203,62 @@ func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.size
+}
+
+// routeMemoCap bounds the router's request memo. The router holds no
+// result for a forwarded job, so its memo entries cannot live with one;
+// a fixed LRU of this many entries bounds them instead: about 320 bytes
+// each with the 64-byte key they name, about 330 KB full (DESIGN.md
+// "Service architecture").
+const routeMemoCap = 1024
+
+// routeMemo is the router's request memo: a fixed-capacity LRU from a
+// request's body key to the job key and async flag its bytes resolved
+// to, so a repeat is routed without a decode. Safe for concurrent use.
+type routeMemo struct {
+	mu    sync.Mutex
+	ll    *list.List // front = most recently used
+	items map[bodyKey]*list.Element
+}
+
+// routeEntry is one remembered request.
+type routeEntry struct {
+	bk    bodyKey
+	key   string
+	async bool
+}
+
+// newRouteMemo builds an empty router memo.
+func newRouteMemo() *routeMemo {
+	return &routeMemo{ll: list.New(), items: map[bodyKey]*list.Element{}}
+}
+
+// get returns the key and async flag remembered for bk.
+func (m *routeMemo) get(bk bodyKey) (key string, async, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.items[bk]
+	if !ok {
+		return "", false, false
+	}
+	m.ll.MoveToFront(el)
+	e := el.Value.(*routeEntry)
+	return e.key, e.async, true
+}
+
+// put remembers that bk resolved to (key, async), forgetting the least
+// recently used entry past routeMemoCap.
+func (m *routeMemo) put(bk bodyKey, key string, async bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.items[bk]; ok {
+		m.ll.MoveToFront(el)
+		return
+	}
+	m.items[bk] = m.ll.PushFront(&routeEntry{bk: bk, key: key, async: async})
+	if m.ll.Len() > routeMemoCap {
+		back := m.ll.Back()
+		m.ll.Remove(back)
+		delete(m.items, back.Value.(*routeEntry).bk)
+	}
 }

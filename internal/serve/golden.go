@@ -11,6 +11,26 @@ import (
 	"time"
 )
 
+// goldenSteps is GoldenWorkload's fixed sequence: cold detects, a warm
+// repeat, both sweep modes, a fault sweep, the capability endpoint, and
+// the two deterministic error paths (400 bad request, 413 oversized body
+// at the workload's 16 KiB limit). A job-status read for the first job
+// follows them.
+var goldenSteps = []struct {
+	method, path, body string
+	want               int
+}{
+	{http.MethodPost, "/v1/detect", `{"spec":{"kind":"corpus","index":1},"seed":7}`, 200},
+	{http.MethodPost, "/v1/detect", `{"spec":{"kind":"corpus","index":1},"seed":7}`, 200},
+	{http.MethodPost, "/v1/detect", `{"spec":{"kind":"corpus","index":2},"seed":7}`, 200},
+	{http.MethodPost, "/v1/sweep", `{"spec":{"kind":"corpus","index":1},"seeds":3}`, 200},
+	{http.MethodPost, "/v1/sweep", `{"spec":{"kind":"corpus","index":2},"mode":"delay-one"}`, 200},
+	{http.MethodPost, "/v1/faultsweep", `{"spec":{"kind":"fault","index":1},"plans":2}`, 200},
+	{http.MethodGet, "/v1/detectors", "", 200},
+	{http.MethodPost, "/v1/detect", `{"spec":`, 400},
+	{http.MethodPost, "/v1/detect", `{"pad":"` + strings.Repeat("x", 32<<10) + `"}`, 413},
+}
+
 // GoldenWorkload boots a Server with the given worker count, drives the
 // fixed golden request sequence through its full HTTP surface
 // (middleware included), and returns the stable metrics export
@@ -43,27 +63,11 @@ func GoldenWorkload(workers int) ([]byte, error) {
 		return w, nil
 	}
 
-	// The fixed sequence: cold detects, a warm repeat, both sweep modes, a
-	// fault sweep, a job-status read, the capability endpoint, and the two
-	// deterministic error paths (400 bad request, 413 oversized body).
-	first, err := expect(http.MethodPost, "/v1/detect", `{"spec":{"kind":"corpus","index":1},"seed":7}`, 200)
+	first, err := expect(goldenSteps[0].method, goldenSteps[0].path, goldenSteps[0].body, goldenSteps[0].want)
 	if err != nil {
 		return nil, err
 	}
-	steps := []struct {
-		method, path, body string
-		want               int
-	}{
-		{http.MethodPost, "/v1/detect", `{"spec":{"kind":"corpus","index":1},"seed":7}`, 200},
-		{http.MethodPost, "/v1/detect", `{"spec":{"kind":"corpus","index":2},"seed":7}`, 200},
-		{http.MethodPost, "/v1/sweep", `{"spec":{"kind":"corpus","index":1},"seeds":3}`, 200},
-		{http.MethodPost, "/v1/sweep", `{"spec":{"kind":"corpus","index":2},"mode":"delay-one"}`, 200},
-		{http.MethodPost, "/v1/faultsweep", `{"spec":{"kind":"fault","index":1},"plans":2}`, 200},
-		{http.MethodGet, "/v1/detectors", "", 200},
-		{http.MethodPost, "/v1/detect", `{"spec":`, 400},
-		{http.MethodPost, "/v1/detect", `{"pad":"` + strings.Repeat("x", 32<<10) + `"}`, 413},
-	}
-	for _, st := range steps {
+	for _, st := range goldenSteps[1:] {
 		if _, err := expect(st.method, st.path, st.body, st.want); err != nil {
 			return nil, err
 		}

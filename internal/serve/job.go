@@ -98,7 +98,7 @@ type GenSpec struct {
 	Kind string `json:"kind,omitempty"`
 	// Seed is the corpus seed (corpus kind only; default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Index selects the site within the family.
+	// Index selects the site within the family; it must not be negative.
 	Index int `json:"index"`
 }
 
@@ -176,6 +176,7 @@ type resolved struct {
 	fseed   int64
 	async   bool
 	key     string
+	bk      bodyKey // the request bytes this was resolved from; zero when resolved directly
 }
 
 // resolve normalizes req for kind against the server's defaults and
@@ -310,6 +311,9 @@ func resolveSite(req *Request) (*loader.Site, error) {
 		return site, nil
 	case req.Spec != nil:
 		g := req.Spec
+		if g.Index < 0 {
+			return nil, fmt.Errorf("spec index %d is negative", g.Index)
+		}
 		switch g.Kind {
 		case "", "corpus":
 			seed := g.Seed

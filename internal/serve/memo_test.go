@@ -1,0 +1,569 @@
+package serve
+
+import (
+	"bytes"
+	"container/list"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"webracer/internal/mem"
+	"webracer/internal/obs"
+	"webracer/internal/op"
+	"webracer/internal/race"
+)
+
+// memoReply is what a client sees of one POST: everything a memo hit must
+// reproduce.
+type memoReply struct {
+	code       int
+	job, cache string
+	body       []byte
+}
+
+// postReply POSTs body to path on ts and captures the reply.
+func postReply(t *testing.T, ts *httptest.Server, path, body string) memoReply {
+	t.Helper()
+	resp, b := post(t, ts, path, body)
+	return memoReply{resp.StatusCode, resp.Header.Get(HeaderJob), resp.Header.Get(HeaderCache), b}
+}
+
+// serveReply sends body to h in-process and captures the reply.
+func serveReply(h http.Handler, path string, body []byte) memoReply {
+	hr := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	hr.Header.Set("Content-Type", "application/json")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, hr)
+	return memoReply{w.Code, w.Header().Get(HeaderJob), w.Header().Get(HeaderCache), w.Body.Bytes()}
+}
+
+// sameReply fails t unless a and b agree in status, job key, cache state
+// and bytes.
+func sameReply(t *testing.T, what string, a, b memoReply) {
+	t.Helper()
+	if a.code != b.code || a.job != b.job || a.cache != b.cache || !bytes.Equal(a.body, b.body) {
+		t.Fatalf("%s: replies differ:\n%d %s %q %s\n%d %s %q %s", what,
+			a.code, a.job, a.cache, a.body, b.code, b.job, b.cache, b.body)
+	}
+}
+
+// forget empties s's request memo, so the next request of any bytes takes
+// the decode path — the reference a memo hit is compared against.
+func forget(s *Server) {
+	c := s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, el := range c.items {
+		el.Value.(*centry).memo = bodyKey{}
+	}
+	c.memo = map[bodyKey]*list.Element{}
+}
+
+// memoLen is the number of requests s remembers.
+func memoLen(s *Server) int {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	return len(s.cache.memo)
+}
+
+// TestMemoRepeatSkipsDecode: once a job's result is cached, a repeat of
+// the same bytes is answered without a decode, and its reply equals the
+// decode path's reply for the same state: status, X-Webracer-Job,
+// X-Webracer-Cache and bytes.
+func TestMemoRepeatSkipsDecode(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	req := `{"site":` + racySite + `,"seed":3}`
+
+	first := postReply(t, ts, "/v1/detect", req)
+	if first.code != 200 || first.cache != "miss" {
+		t.Fatalf("first: %d %q %s", first.code, first.cache, first.body)
+	}
+	if got := s.decodes.Load(); got != 1 {
+		t.Fatalf("decodes after the first submission = %d, want 1", got)
+	}
+	repeat := postReply(t, ts, "/v1/detect", req)
+	if got := s.decodes.Load(); got != 1 {
+		t.Fatalf("decodes after the repeat = %d, want 1 (memo hit)", got)
+	}
+	if repeat.code != first.code || repeat.job != first.job || !bytes.Equal(repeat.body, first.body) {
+		t.Fatalf("repeat differs from the first submission:\n%+v\n%+v", repeat, first)
+	}
+	forget(s)
+	decoded := postReply(t, ts, "/v1/detect", req)
+	if got := s.decodes.Load(); got != 2 {
+		t.Fatalf("decodes after forgetting = %d, want 2", got)
+	}
+	sameReply(t, "memo hit vs decode path", repeat, decoded)
+	if got := metric(t, ts, "serve.cache.hits"); got != 2 {
+		t.Fatalf("serve.cache.hits = %d, want 2 (a memo hit counts as a cache hit)", got)
+	}
+	// The revived job record answers polls as it did before.
+	_, st := get(t, ts, "/v1/jobs/"+first.job)
+	var js JobStatus
+	if err := json.Unmarshal(st, &js); err != nil || js.Status != "done" || js.ID != first.job {
+		t.Fatalf("job status after memo hits: %s (%v)", st, err)
+	}
+}
+
+// TestMemoEndpointsDistinct: the same bytes posted to /v1/detect and
+// /v1/sweep are two jobs; neither endpoint answers from the other's memo
+// entry.
+func TestMemoEndpointsDistinct(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	req := `{"spec":{"index":1},"seed":7,"seeds":2}`
+	det := postReply(t, ts, "/v1/detect", req)
+	postReply(t, ts, "/v1/detect", req) // remembered now
+	before := s.decodes.Load()
+	sw := postReply(t, ts, "/v1/sweep", req)
+	if s.decodes.Load() != before+1 {
+		t.Fatal("/v1/sweep answered from /v1/detect's memo entry")
+	}
+	if sw.code != 200 || sw.cache != "miss" || sw.job == det.job {
+		t.Fatalf("sweep: %d %q job %s (detect job %s)", sw.code, sw.cache, sw.job, det.job)
+	}
+	again := postReply(t, ts, "/v1/sweep", req)
+	if s.decodes.Load() != before+1 || again.job != sw.job || !bytes.Equal(again.body, sw.body) {
+		t.Fatalf("sweep repeat: job %s, %d decodes", again.job, s.decodes.Load()-before)
+	}
+	if d := postReply(t, ts, "/v1/detect", req); d.job != det.job || !bytes.Equal(d.body, det.body) {
+		t.Fatal("detect repeat lost its job")
+	}
+}
+
+// TestMemoEquivalentBodySameKey: bytes that differ but mean the same
+// request (fields reordered) miss the memo, decode, and reach the same key
+// and cached bytes; then they are the spelling the result remembers, and
+// the first spelling decodes again, to the same reply.
+func TestMemoEquivalentBodySameKey(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	first, reordered := `{"spec":{"index":3},"seed":5}`, `{"seed":5,"spec":{"index":3}}`
+	a := postReply(t, ts, "/v1/detect", first)
+	b := postReply(t, ts, "/v1/detect", reordered)
+	if s.decodes.Load() != 2 {
+		t.Fatalf("decodes = %d, want 2: reordered bytes must decode", s.decodes.Load())
+	}
+	if b.cache != "hit" || b.job != a.job || !bytes.Equal(a.body, b.body) {
+		t.Fatalf("reordered body: %q job %s, want a hit on %s", b.cache, b.job, a.job)
+	}
+	sameReply(t, "reordered memo hit", b, postReply(t, ts, "/v1/detect", reordered))
+	if s.decodes.Load() != 2 || memoLen(s) != 1 {
+		t.Fatalf("decodes %d, memo %d: the reordered spelling should be remembered", s.decodes.Load(), memoLen(s))
+	}
+	sameReply(t, "first spelling after it was replaced", b, postReply(t, ts, "/v1/detect", first))
+	if s.decodes.Load() != 3 || memoLen(s) != 1 {
+		t.Fatalf("decodes %d, memo %d: the first spelling should decode once more", s.decodes.Load(), memoLen(s))
+	}
+}
+
+// TestMemoEvictedResult: a remembered request whose result left the LRU
+// is forgotten with it, so its repeat decodes and is served as a store
+// hit, or re-run when the store is off, with identical bytes.
+func TestMemoEvictedResult(t *testing.T) {
+	reqA := `{"spec":{"index":4},"seed":2}`
+	reqB := `{"spec":{"index":5},"seed":2}`
+	// An LRU that holds either result but not both.
+	_, ref := newTestServer(t, Config{Workers: 1})
+	ra, rb := postReply(t, ref, "/v1/detect", reqA), postReply(t, ref, "/v1/detect", reqB)
+	budget := max(cacheCost(ra), cacheCost(rb))
+
+	for _, withStore := range []bool{true, false} {
+		t.Run(fmt.Sprintf("store=%v", withStore), func(t *testing.T) {
+			cfg := Config{Workers: 1, CacheBytes: budget}
+			want := "miss"
+			if withStore {
+				cfg.StoreDir, want = t.TempDir(), "store-hit"
+			}
+			s, ts := newTestServer(t, cfg)
+			postReply(t, ts, "/v1/detect", reqA)
+			if r := postReply(t, ts, "/v1/detect", reqA); r.cache != "hit" || s.decodes.Load() != 1 {
+				t.Fatalf("repeat: %q after %d decodes, want a memo hit", r.cache, s.decodes.Load())
+			}
+			postReply(t, ts, "/v1/detect", reqB) // evicts A
+			if withStore {
+				waitUntil(t, func() bool { return metricQuiet(ts, "serve.store.puts") >= 2 })
+			}
+			if memoLen(s) != 1 {
+				t.Fatalf("memo holds %d requests after the eviction, want 1 (B)", memoLen(s))
+			}
+			got := postReply(t, ts, "/v1/detect", reqA)
+			if got.cache != want || s.decodes.Load() != 3 {
+				t.Fatalf("after eviction: %q after %d decodes, want %q after 3", got.cache, s.decodes.Load(), want)
+			}
+			if got.code != 200 || got.job != ra.job || !bytes.Equal(got.body, ra.body) {
+				t.Fatal("evicted result came back with different bytes")
+			}
+		})
+	}
+}
+
+// cacheCost is the LRU charge of one reply's result.
+func cacheCost(r memoReply) int64 { return int64(len(r.job)+len(r.body)) + entryOverhead }
+
+// TestMemoDrainingAnswers503: a draining server answers a remembered
+// request exactly as it answers any other: 503 with the job's key.
+func TestMemoDrainingAnswers503(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	req := detectReq(6, 1)
+	first := postReply(t, ts, "/v1/detect", req)
+	postReply(t, ts, "/v1/detect", req)
+	if memoLen(s) != 1 {
+		t.Fatal("request not remembered")
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got := postReply(t, ts, "/v1/detect", req)
+	if got.code != http.StatusServiceUnavailable || got.job != first.job {
+		t.Fatalf("draining: %d job %s, want 503 for %s", got.code, got.job, first.job)
+	}
+	forget(s)
+	sameReply(t, "draining memo vs decode path", got, postReply(t, ts, "/v1/detect", req))
+}
+
+// TestMemoRejectedNotRemembered: 400 and 413 bodies are never remembered —
+// each repeat of a bad body decodes again (or, oversized, never decodes)
+// and gets the same error.
+func TestMemoRejectedNotRemembered(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 1 << 10})
+	for _, body := range []string{
+		`{"spec":`,                               // malformed JSON
+		`{"spec":{"index":1},"bogus":1}`,         // unknown field
+		`{"spec":{"index":1}} {}`,                // trailing data
+		`{"spec":{"index":1},"detector":"nope"}`, // resolve rejects
+	} {
+		before := s.decodes.Load()
+		a, b := postReply(t, ts, "/v1/detect", body), postReply(t, ts, "/v1/detect", body)
+		if a.code != 400 || s.decodes.Load() != before+2 {
+			t.Fatalf("%s: %d after %d decodes, want 400 after 2", body, a.code, s.decodes.Load()-before)
+		}
+		sameReply(t, body, a, b)
+	}
+	before := s.decodes.Load()
+	big := `{"pad":"` + strings.Repeat("x", 2<<10) + `"}`
+	a, b := postReply(t, ts, "/v1/detect", big), postReply(t, ts, "/v1/detect", big)
+	if a.code != http.StatusRequestEntityTooLarge || s.decodes.Load() != before {
+		t.Fatalf("oversized: %d after %d decodes, want 413 before any decode", a.code, s.decodes.Load()-before)
+	}
+	sameReply(t, "oversized", a, b)
+	if memoLen(s) != 0 {
+		t.Fatalf("memo holds %d rejected requests", memoLen(s))
+	}
+}
+
+// TestMemoAsyncAndSync: async and sync spellings of one job keep their
+// 202/200 behaviour. An async request is 202 while its job is in flight
+// (coalesced repeats included) and, like today, 200 with the cached bytes
+// once it is done — from the memo, without a decode.
+func TestMemoAsyncAndSync(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	release := make(chan struct{})
+	s.jobGate = func(jobKind, string) { <-release }
+	async := `{"spec":{"index":7},"seed":4,"async":true}`
+	syncReq := `{"spec":{"index":7},"seed":4}`
+
+	a1 := postReply(t, ts, "/v1/detect", async)
+	a2 := postReply(t, ts, "/v1/detect", async)
+	if a1.code != 202 || a1.cache != "miss" || a2.code != 202 || a2.cache != "coalesced" || a2.job != a1.job {
+		t.Fatalf("in flight: %d %q, %d %q", a1.code, a1.cache, a2.code, a2.cache)
+	}
+	close(release)
+	waitUntil(t, func() bool { return metricQuiet(ts, "serve.jobs.completed") == 1 })
+
+	decodes := s.decodes.Load()
+	a3 := postReply(t, ts, "/v1/detect", async)
+	if a3.code != 200 || a3.cache != "hit" || s.decodes.Load() != decodes {
+		t.Fatalf("async repeat once done: %d %q after %d decodes, want a 200 memo hit",
+			a3.code, a3.cache, s.decodes.Load()-decodes)
+	}
+	s1 := postReply(t, ts, "/v1/detect", syncReq)
+	s2 := postReply(t, ts, "/v1/detect", syncReq)
+	if s.decodes.Load() != decodes+1 {
+		t.Fatalf("sync spelling: %d decodes, want 1 then a memo hit", s.decodes.Load()-decodes)
+	}
+	sameReply(t, "sync memo hit", s1, s2)
+	if s1.job != a1.job || !bytes.Equal(s1.body, a3.body) {
+		t.Fatal("sync and async spellings disagree on the job")
+	}
+	forget(s)
+	sameReply(t, "async memo hit vs decode path", a3, postReply(t, ts, "/v1/detect", async))
+}
+
+// TestMemoRouterLocalFallback: the router routes a remembered request
+// without a decode, and when every backend is down its local fallback
+// resolves the bytes and returns the same bytes the cluster did.
+func TestMemoRouterLocalFallback(t *testing.T) {
+	c := newCluster(t, 1, Config{Workers: 1}, RouterConfig{Attempts: 2})
+	local, backend := c.router.local, c.backends[0]
+	req := detectReq(8, 2)
+
+	first := postReply(t, c.rts, "/v1/detect", req)
+	if first.code != 200 || local.decodes.Load() != 1 || backend.decodes.Load() != 1 {
+		t.Fatalf("first: %d, router %d / backend %d decodes", first.code, local.decodes.Load(), backend.decodes.Load())
+	}
+	second := postReply(t, c.rts, "/v1/detect", req)
+	if second.cache != "hit" || local.decodes.Load() != 1 || backend.decodes.Load() != 1 {
+		t.Fatalf("repeat: %q, router %d / backend %d decodes, want memo hits on both tiers",
+			second.cache, local.decodes.Load(), backend.decodes.Load())
+	}
+	if second.job != first.job || !bytes.Equal(second.body, first.body) {
+		t.Fatal("routed memo hit differs from the first reply")
+	}
+
+	c.tss[0].Close() // the whole cluster is down
+	resp, body := post(t, c.rts, "/v1/detect", req)
+	if resp.StatusCode != 200 || resp.Header.Get(HeaderBackend) != "local" {
+		t.Fatalf("fallback: %d from %q", resp.StatusCode, resp.Header.Get(HeaderBackend))
+	}
+	if local.decodes.Load() != 2 {
+		t.Fatalf("router decodes = %d, want 2: the fallback resolves the bytes once", local.decodes.Load())
+	}
+	if resp.Header.Get(HeaderJob) != first.job || !bytes.Equal(body, first.body) {
+		t.Fatal("local fallback after a memo hit returned different bytes")
+	}
+}
+
+// TestMemoConcurrentRepeats: clients repeating a few bodies at once,
+// through a router whose one backend's LRU holds a single result (so
+// results and their memo entries are evicted while others recall them),
+// all get the bytes a fresh node computes. Run it under -race.
+func TestMemoConcurrentRepeats(t *testing.T) {
+	bodies := []string{detectReq(1, 3), detectReq(2, 3), detectReq(3, 3)}
+	_, ref := newTestServer(t, Config{Workers: 2})
+	want := make([][]byte, len(bodies))
+	var budget int64
+	for i, b := range bodies {
+		r := postReply(t, ref, "/v1/detect", b)
+		want[i] = r.body
+		budget = max(budget, cacheCost(r))
+	}
+	c := newCluster(t, 1, Config{Workers: 2, CacheBytes: budget}, RouterConfig{})
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 12; n++ {
+				i := (g + n) % len(bodies)
+				ts := c.rts
+				if n%2 == 1 {
+					ts = c.tss[0] // the backend directly, too
+				}
+				resp, err := http.Post(ts.URL+"/v1/detect", "application/json", strings.NewReader(bodies[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 || !bytes.Equal(got, want[i]) {
+					t.Errorf("client %d body %d: %d %v: bytes differ from a fresh node", g, i, resp.StatusCode, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestMemoCacheDiesWithResult: a server memo entry lives exactly as long
+// as the cached result it names and survives a refresh of that result,
+// and each result remembers only the latest request that resolved to it.
+func TestMemoCacheDiesWithResult(t *testing.T) {
+	m := obs.New()
+	body := bytes.Repeat([]byte("r"), 100)
+	c := NewCache(1+100+entryOverhead, m) // one entry fits
+	bk := func(i int) bodyKey { return newBodyKey(kindDetect, []byte(fmt.Sprint(i))) }
+
+	c.remember(bk(0), "a") // nothing cached under "a" yet
+	if _, _, ok := c.recall(bk(0)); ok {
+		t.Fatal("remembered a request with no cached result")
+	}
+	c.Put("a", body)
+	for i := 0; i < 2; i++ {
+		c.remember(bk(i), "a")
+		c.remember(bk(i), "a") // repeats are no-ops
+	}
+	if _, _, ok := c.recall(bk(0)); ok {
+		t.Fatal("replaced spelling still remembered")
+	}
+	c.Put("a", body) // refresh in place keeps the memo
+	key, got, ok := c.recall(bk(1))
+	if !ok || key != "a" || !bytes.Equal(got, body) || len(c.memo) != 1 {
+		t.Fatalf("recall = %q, %v; memo holds %d", key, ok, len(c.memo))
+	}
+	if h := snap(t, m, "serve.cache.hits"); h != 1 {
+		t.Fatalf("serve.cache.hits = %d, want 1 (a failed recall counts nothing)", h)
+	}
+	c.Put("b", body) // evicts "a" and its memo entry
+	if _, _, ok := c.recall(bk(1)); ok || len(c.memo) != 0 {
+		t.Fatalf("memo outlived its result: %d entries", len(c.memo))
+	}
+}
+
+// TestMemoRouterLRUBound: the router memo holds at most routeMemoCap
+// requests, forgetting the least recently used first.
+func TestMemoRouterLRUBound(t *testing.T) {
+	m := newRouteMemo()
+	bk := func(i int) bodyKey { return newBodyKey(kindSweep, []byte(fmt.Sprint(i))) }
+	for i := 0; i < routeMemoCap; i++ {
+		m.put(bk(i), fmt.Sprint("k", i), i%2 == 0)
+	}
+	m.get(bk(0)) // most recently used now; bk(1) is the oldest
+	for i := routeMemoCap; i < routeMemoCap+10; i++ {
+		m.put(bk(i), fmt.Sprint("k", i), false)
+	}
+	if m.ll.Len() != routeMemoCap || len(m.items) != routeMemoCap {
+		t.Fatalf("memo holds %d/%d entries, want %d", m.ll.Len(), len(m.items), routeMemoCap)
+	}
+	if key, async, ok := m.get(bk(0)); !ok || key != "k0" || !async {
+		t.Fatalf("recently used entry lost: %q %v %v", key, async, ok)
+	}
+	for i := 1; i <= 10; i++ {
+		if _, _, ok := m.get(bk(i)); ok {
+			t.Fatalf("entry %d survived past the cap", i)
+		}
+	}
+}
+
+// TestAccessLabelMatchesSprintf: the compact detect response's prior and
+// current strings are the bytes the fmt format "%s op%d %s" gave, for
+// every access kind and context and for op ids of every width.
+func TestAccessLabelMatchesSprintf(t *testing.T) {
+	for _, kind := range []mem.AccessKind{mem.Read, mem.Write} {
+		for ctx := mem.Context(0); ctx < 16; ctx++ {
+			for _, id := range []op.ID{op.None, 7, 99, 100, 12345, 1<<31 - 1, -3} {
+				a := race.Access{Kind: kind, Op: id, Ctx: ctx}
+				if got, want := accessLabel(a), fmt.Sprintf("%s op%d %s", a.Kind, a.Op, a.Ctx); got != want {
+					t.Fatalf("accessLabel = %q, want %q", got, want)
+				}
+			}
+		}
+	}
+}
+
+// fuzzKinds are the POST endpoints FuzzServeKey sends bytes to.
+var fuzzKinds = []jobKind{kindDetect, kindSweep, kindFaultSweep}
+
+// FuzzServeKey fuzzes the request → key path and its memo. For any bytes
+// posted to an endpoint:
+//   - a second submission returns what the first did (status, job key and,
+//     for a cached result, bytes; an async first answer is the 202, so its
+//     repeat is compared once the job is done);
+//   - a memo-served reply equals the decode path's reply for the same state;
+//   - a body that resolves keeps its key after a JSON round trip through
+//     Request;
+//   - the same bytes sent to another endpoint are decoded there, never
+//     answered from the first endpoint's memo entry.
+//
+// The seed corpus (GoldenWorkload's bodies plus small inline sites) runs
+// under plain `go test`.
+func FuzzServeKey(f *testing.F) {
+	for _, st := range goldenSteps {
+		if st.method == http.MethodPost {
+			f.Add(uint8(fuzzKindIndex(strings.TrimPrefix(st.path, "/v1/"))), []byte(st.body))
+		}
+	}
+	for _, s := range []struct {
+		kind uint8
+		body string
+	}{
+		{0, `{"site":` + racySite + `,"seed":2}`},
+		{0, `{"seed":2,"site":` + racySite + `,"async":true}`},
+		{0, `{"site":{"resources":{"index.html":"<p id=a></p><script>var x=1;</script>"}},"filters":true}`},
+		{0, `{"site":` + racySite + `,"fault":{"seed":3,"drop":0.5}}`},
+		{1, `{"site":` + racySite + `,"seeds":2,"prune":true}`},
+		{1, `{"site":` + racySite + `,"mode":"delay-one"}`},
+		{2, `{"site":` + racySite + `,"plans":2,"faultSeed":9}`},
+		{0, `{"site":` + racySite + `,"detector":"sampled","sampleRate":0.5}`},
+		{0, `{"site":` + racySite + `} `},
+		{0, `{"spec":{"index":-1}}`},
+	} {
+		f.Add(s.kind, []byte(s.body))
+	}
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		kind := fuzzKinds[int(endpoint)%len(fuzzKinds)]
+		other := fuzzKinds[(int(endpoint)+1)%len(fuzzKinds)]
+		var req Request
+		if json.Unmarshal(body, &req) == nil && (req.Seeds > 8 || req.Plans > 8 ||
+			req.Spec != nil && req.Spec.Kind == "stress") {
+			t.Skip("bounded: more work than one fuzz input should ask for")
+		}
+		s := NewServer(Config{Workers: 1, MaxBodyBytes: 16 << 10,
+			DefaultTimeout: 5 * time.Second, MaxTimeout: 5 * time.Second})
+		defer s.Close()
+		h, path := s.Handler(), "/v1/"+string(kind)
+
+		first := serveReply(h, path, body)
+		settle(s, first.job)
+		s.cache.mu.Lock()
+		_, cached := s.cache.items[first.job]
+		s.cache.mu.Unlock()
+		second := serveReply(h, path, body)
+		if second.job != first.job || (first.code != http.StatusAccepted && second.code != first.code) {
+			t.Fatalf("second submission: %d job %q, first: %d job %q", second.code, second.job, first.code, first.job)
+		}
+		if first.code != http.StatusAccepted && (cached || first.code >= 400) && !bytes.Equal(second.body, first.body) {
+			t.Fatalf("second submission's bytes differ:\n%s\n%s", first.body, second.body)
+		}
+		if first.code >= 400 && memoLen(s) != 0 {
+			t.Fatalf("a %d body was remembered", first.code)
+		}
+		settle(s, second.job)
+		forget(s)
+		decoded := serveReply(h, path, body)
+		if cached {
+			sameReply(t, "memo hit vs decode path", second, decoded)
+		} else if decoded.code != second.code || decoded.job != second.job {
+			t.Fatalf("decode path: %d job %q, memo path: %d job %q", decoded.code, decoded.job, second.code, second.job)
+		}
+
+		if first.code != http.StatusOK && first.code != http.StatusAccepted {
+			return
+		}
+		blob, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatalf("re-encode a resolved request: %v", err)
+		}
+		r, err := s.resolveBody(newBodyKey(kind, blob), blob)
+		if err != nil || r.key != first.job {
+			t.Fatalf("round trip through Request changed the key: %v\n%s\n%s", err, body, blob)
+		}
+
+		before := s.decodes.Load()
+		o := serveReply(h, "/v1/"+string(other), body)
+		settle(s, o.job)
+		if s.decodes.Load() != before+1 {
+			t.Fatalf("/v1/%s answered %s's bytes without decoding them", other, kind)
+		}
+		if o.job != "" && o.job == first.job {
+			t.Fatalf("/v1/%s and /v1/%s share job %s", kind, other, o.job)
+		}
+	})
+}
+
+// fuzzKindIndex is the index of an endpoint name in fuzzKinds.
+func fuzzKindIndex(name string) int {
+	for i, k := range fuzzKinds {
+		if string(k) == name {
+			return i
+		}
+	}
+	panic("unknown endpoint " + name)
+}
+
+// settle waits until the job under key, if s has one, is finished.
+func settle(s *Server, key string) {
+	s.mu.Lock()
+	j := s.jobs[key]
+	s.mu.Unlock()
+	if j != nil {
+		<-j.done
+	}
+}

@@ -98,7 +98,8 @@ func (c RouterConfig) withDefaults() RouterConfig {
 
 // Router is webracerd's self-healing distribution layer: POSTs resolve
 // to their content-addressed key locally (so malformed requests are 400s
-// that never touch the cluster), the key consistent-hashes to a backend,
+// that never touch the cluster; a repeat of remembered bytes skips the
+// decode), the key consistent-hashes to a backend,
 // and the forward is wrapped in per-request timeouts, bounded retries
 // with capped seeded-jitter backoff, response integrity validation, and
 // per-backend circuit breakers. A request the cluster cannot serve —
@@ -130,6 +131,8 @@ type Router struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
+
+	memo *routeMemo // request bytes → the key and async flag they resolve to
 
 	healthStop chan struct{}
 	healthWG   sync.WaitGroup
@@ -191,6 +194,7 @@ func NewRouter(local *Server, cfg RouterConfig) *Router {
 		metrics:        m,
 		client:         &http.Client{},
 		flights:        map[string]*flight{},
+		memo:           newRouteMemo(),
 		healthStop:     make(chan struct{}),
 		cRequests:      m.Counter("serve.router.requests"),
 		cForwarded:     m.Counter("serve.router.forwarded"),
@@ -313,38 +317,56 @@ func (rt *Router) candidates(key string) []*backendState {
 	return out
 }
 
-// post builds the routed handler for one POST endpoint.
+// routedReq is one POST on its way through the router: the bytes it
+// forwards verbatim, their body key, and the job key and async flag they
+// resolve to.
+type routedReq struct {
+	bk    bodyKey
+	raw   []byte
+	key   string
+	async bool
+}
+
+// post builds the routed handler for one POST endpoint. Bytes the router
+// has resolved before are routed by the key they resolved to, without a
+// decode; others are resolved by the local server (400s never leave the
+// router) and remembered.
 func (rt *Router) post(kind jobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, hr *http.Request) {
-		req, raw, ok := readRequest(w, hr, rt.local.cfg.MaxBodyBytes)
+		raw, ok := readRequest(w, hr, rt.local.cfg.MaxBodyBytes)
 		if !ok {
 			return
 		}
-		r, err := rt.local.resolve(kind, req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
+		q := &routedReq{bk: newBodyKey(kind, raw), raw: raw}
+		if q.key, q.async, ok = rt.memo.get(q.bk); !ok {
+			r, err := rt.local.resolveBody(q.bk, raw)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, err.Error())
+				return
+			}
+			q.key, q.async = r.key, r.async
+			rt.memo.put(q.bk, r.key, r.async)
 		}
 		rt.cRequests.Inc()
-		rt.route(w, hr, kind, r, raw)
+		rt.route(w, hr, q)
 	}
 }
 
-// route serves one resolved POST: router-local cache, then single-flight
+// route serves one POST by its key: router-local cache, then single-flight
 // dispatch across the cluster.
-func (rt *Router) route(w http.ResponseWriter, hr *http.Request, kind jobKind, r *resolved, raw []byte) {
-	w.Header().Set(HeaderJob, r.key)
+func (rt *Router) route(w http.ResponseWriter, hr *http.Request, q *routedReq) {
+	w.Header().Set(HeaderJob, q.key)
 	// Two-level router-side cache: a warm key never leaves the process.
 	// Only complete runs are ever cached, so serving them here is as
 	// sound as serving them on a backend.
-	if body, ok := rt.local.cache.Get(r.key); ok {
+	if body, ok := rt.local.cache.Get(q.key); ok {
 		rt.cRouterHits.Inc()
 		writeRouted(w, http.StatusOK, "hit", "local", 0, body)
 		return
 	}
-	if body, ok := rt.local.store.Get(r.key); ok {
+	if body, ok := rt.local.store.Get(q.key); ok {
 		rt.cRouterHits.Inc()
-		rt.local.cache.Put(r.key, body)
+		rt.local.cache.Put(q.key, body)
 		writeRouted(w, http.StatusOK, "store-hit", "local", 0, body)
 		return
 	}
@@ -355,8 +377,8 @@ func (rt *Router) route(w http.ResponseWriter, hr *http.Request, kind jobKind, r
 	// coalesces them into one execution. Followers still echo their own
 	// request id (the middleware set it before routing); the forward
 	// itself carries the leader's.
-	fkey := r.key
-	if r.async {
+	fkey := q.key
+	if q.async {
 		fkey += "/async"
 	}
 	rt.mu.Lock()
@@ -374,7 +396,7 @@ func (rt *Router) route(w http.ResponseWriter, hr *http.Request, kind jobKind, r
 	rt.flights[fkey] = f
 	rt.mu.Unlock()
 
-	f.code, f.cacheH, f.backend, f.attempts, f.body = rt.dispatch(kind, r, raw, hr.Header.Get(HeaderRequestID))
+	f.code, f.cacheH, f.backend, f.attempts, f.body = rt.dispatch(q, hr.Header.Get(HeaderRequestID))
 
 	rt.mu.Lock()
 	delete(rt.flights, fkey)
@@ -389,8 +411,8 @@ func (rt *Router) route(w http.ResponseWriter, hr *http.Request, kind jobKind, r
 // client's context deliberately — like Server.respond, a dispatch in
 // flight finishes (and caches on the backend) even if the submitting
 // client disconnects, so coalesced followers still get their bytes.
-func (rt *Router) dispatch(kind jobKind, r *resolved, raw []byte, reqID string) (code int, cacheH, backend string, attempts int, body []byte) {
-	cands := rt.candidates(r.key)
+func (rt *Router) dispatch(q *routedReq, reqID string) (code int, cacheH, backend string, attempts int, body []byte) {
+	cands := rt.candidates(q.key)
 	for attempt := 0; attempt < rt.cfg.Attempts; attempt++ {
 		b := cands[attempt%len(cands)]
 		if !rt.breakerAllow(b) {
@@ -398,10 +420,10 @@ func (rt *Router) dispatch(kind jobKind, r *resolved, raw []byte, reqID string) 
 			continue
 		}
 		if attempt > 0 {
-			rt.backoff(r.key, attempt)
+			rt.backoff(q.key, attempt)
 		}
 		attempts++
-		res, retryable, err := rt.forwardOnce(b, "/v1/"+string(kind), r.key, raw, attempt, reqID)
+		res, retryable, err := rt.forwardOnce(b, "/v1/"+string(q.bk.kind), q.key, q.raw, attempt, reqID)
 		if err == nil {
 			rt.breakerResult(b, true)
 			if attempt > 0 {
@@ -425,7 +447,7 @@ func (rt *Router) dispatch(kind jobKind, r *resolved, raw []byte, reqID string) 
 	// of throughput", never to a 5xx the cluster could have absorbed.
 	rt.cLocal.Inc()
 	rt.hAttempts.Record(int64(attempts))
-	code, cacheH, body = rt.runLocal(r, reqID)
+	code, cacheH, body = rt.runLocal(q, reqID)
 	return code, cacheH, "local", attempts, body
 }
 
@@ -483,10 +505,7 @@ func (rt *Router) forwardOnce(b *backendState, path, key string, raw []byte, att
 		// key this router computed. A backend that disagrees (corrupt
 		// bytes, or a node booted with different resolution flags) is
 		// treated as a failed attempt, never relayed.
-		var idOnly struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(body, &idOnly) != nil || idOnly.ID != key {
+		if !answersFor(body, key) {
 			rt.cCorrupt.Inc()
 			return forwardResult{}, true, fmt.Errorf("%s returned a corrupt response for %s", b.name, key[:8])
 		}
@@ -503,11 +522,35 @@ func (rt *Router) forwardOnce(b *backendState, path, key string, raw []byte, att
 	}
 }
 
-// runLocal executes the resolved request on the router's own Server
-// through the normal submission path, capturing the response. The
-// request id rides along so the fallback's log lines correlate with
-// the routed request that degraded to it.
-func (rt *Router) runLocal(r *resolved, reqID string) (int, string, []byte) {
+// answersFor reports whether body is a JSON object whose first member is
+// "id": key — every response type leads with its id. One full pass
+// validates the whole body, so corruption anywhere fails the gate; the id
+// is then read from the leading tokens alone.
+func answersFor(body []byte, key string) bool {
+	if !json.Valid(body) {
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	for _, want := range []json.Token{json.Delim('{'), "id", key} {
+		if tok, err := dec.Token(); err != nil || tok != want {
+			return false
+		}
+	}
+	return true
+}
+
+// runLocal executes the request on the router's own Server through the
+// normal submission path, capturing the response. The request is resolved
+// here, from its bytes: routing needs only its key, so no resolved
+// request is kept for this rare path. The request id rides along so the
+// fallback's log lines correlate with the routed request that degraded to
+// it.
+func (rt *Router) runLocal(q *routedReq, reqID string) (int, string, []byte) {
+	r, err := rt.local.resolveBody(q.bk, q.raw)
+	if err != nil {
+		// Unreachable: these bytes resolved under this config before.
+		return http.StatusBadRequest, "", mustMarshal(errorBody{Error: err.Error()})
+	}
 	hr, _ := http.NewRequest(http.MethodPost, "/", nil)
 	if reqID != "" {
 		hr.Header.Set(HeaderRequestID, reqID)

@@ -14,6 +14,7 @@
 // Request lifecycle:
 //
 //	POST /v1/{detect,sweep,faultsweep}
+//	  → bytes remembered?    → 200 with cached bytes   (X-Webracer-Cache: hit)
 //	  → resolve (normalize inputs, 400 on bad requests)
 //	  → key (SHA-256 over canonical inputs)
 //	  → cache hit?           → 200 with cached bytes   (X-Webracer-Cache: hit)
@@ -37,12 +38,14 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"webracer"
 	"webracer/internal/fault"
 	"webracer/internal/obs"
 	"webracer/internal/pool"
+	"webracer/internal/race"
 	"webracer/internal/report"
 	"webracer/internal/store"
 )
@@ -159,6 +162,10 @@ type Server struct {
 	// jobGate, when non-nil, is called on the worker goroutine before a
 	// job executes — a test hook for holding jobs in flight.
 	jobGate func(kind jobKind, key string)
+	// decodes counts request bodies decoded and resolved under this
+	// server's config — a test hook for telling memo hits from the decode
+	// path.
+	decodes atomic.Int64
 }
 
 // job is the service-side record of one admitted unit of work. Fields
@@ -267,14 +274,21 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close is Drain with no deadline.
 func (s *Server) Close() { _ = s.Drain(context.Background()) }
 
-// post builds the handler shared by the three submission endpoints.
+// post builds the handler shared by the three submission endpoints. A
+// request whose exact bytes were answered before, and whose result is
+// still cached, is answered from the memo without a decode; any other
+// request is decoded, resolved and submitted.
 func (s *Server) post(kind jobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, hr *http.Request) {
-		req, _, ok := readRequest(w, hr, s.cfg.MaxBodyBytes)
+		raw, ok := readRequest(w, hr, s.cfg.MaxBodyBytes)
 		if !ok {
 			return
 		}
-		r, err := s.resolve(kind, req)
+		bk := newBodyKey(kind, raw)
+		if s.recall(w, bk) {
+			return
+		}
+		r, err := s.resolveBody(bk, raw)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -283,14 +297,45 @@ func (s *Server) post(kind jobKind) http.HandlerFunc {
 	}
 }
 
-// readRequest reads and decodes a POST body within limit, writing the
-// 4xx response itself on failure: an oversized body is 413 (the body was
-// cut off mid-read — nothing was admitted, the request is safely
-// retryable smaller), anything else malformed is 400, including data
-// after the request object (trailing whitespace is fine). The raw bytes are
-// returned alongside the decoded request so the router can forward a
-// body verbatim instead of re-marshaling it.
-func readRequest(w http.ResponseWriter, hr *http.Request, limit int64) (*Request, []byte, bool) {
+// recall answers a request from its bytes alone when they were remembered
+// for a result still in the cache, through the decode path's hit reply
+// (answerCachedLocked). It reports whether it answered. A draining server
+// recalls nothing: the decode path answers its 503.
+func (s *Server) recall(w http.ResponseWriter, bk bodyKey) bool {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return false
+	}
+	key, body, ok := s.cache.recall(bk)
+	if !ok {
+		s.mu.Unlock()
+		return false
+	}
+	s.answerCachedLocked(w, bk.kind, key, "hit", body)
+	return true
+}
+
+// answerCachedLocked answers a request from a cached result: it revives
+// the job record for key, then writes body as a 200 with the job header
+// and cacheH ("hit" or "store-hit") as the cache state. Every cached
+// answer, recalled or decoded, goes through it. The caller holds s.mu;
+// answerCachedLocked releases it before writing.
+func (s *Server) answerCachedLocked(w http.ResponseWriter, kind jobKind, key, cacheH string, body []byte) {
+	s.reviveJobLocked(kind, key, body)
+	s.mu.Unlock()
+	w.Header().Set(HeaderJob, key)
+	w.Header().Set(HeaderCache, cacheH)
+	writeBody(w, http.StatusOK, body)
+}
+
+// readRequest reads a POST body within limit, writing the 4xx response
+// itself on failure: an oversized body is 413 (the body was cut off
+// mid-read — nothing was admitted, the request is safely retryable
+// smaller), a failed read is 400. The bytes are kept as read: the memo
+// digests them, the router forwards them verbatim, and resolveBody
+// decodes them.
+func readRequest(w http.ResponseWriter, hr *http.Request, limit int64) ([]byte, bool) {
 	raw, err := readBody(http.MaxBytesReader(w, hr.Body, limit), hr.ContentLength, limit)
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -300,22 +345,35 @@ func readRequest(w http.ResponseWriter, hr *http.Request, limit int64) (*Request
 		} else {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		}
-		return nil, nil, false
+		return nil, false
 	}
+	return raw, true
+}
+
+// resolveBody decodes a request's bytes and resolves them for bk's
+// endpoint. Every error is a 400: malformed JSON, unknown fields, data
+// after the request object (trailing whitespace is fine), or inputs
+// resolve rejects. The resolved request keeps bk, so the memo can
+// remember it once its result is cached.
+func (s *Server) resolveBody(bk bodyKey, raw []byte) (*resolved, error) {
+	s.decodes.Add(1)
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var req Request
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return nil, nil, false
+		return nil, fmt.Errorf("bad request body: %v", err)
 	}
 	// One object per body: anything after it but whitespace would
 	// otherwise be dropped, and the request answered as if it were absent.
 	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "bad request body: data after the request object")
-		return nil, nil, false
+		return nil, errors.New("bad request body: data after the request object")
 	}
-	return &req, raw, true
+	r, err := s.resolve(bk.kind, &req)
+	if err != nil {
+		return nil, err
+	}
+	r.bk = bk
+	return r, nil
 }
 
 // readBody reads r to EOF like io.ReadAll. When the declared length n is
@@ -354,10 +412,8 @@ func (s *Server) submit(w http.ResponseWriter, hr *http.Request, r *resolved) {
 		return
 	}
 	if body, ok := s.cache.Get(r.key); ok {
-		s.reviveJobLocked(r, body)
-		s.mu.Unlock()
-		w.Header().Set("X-Webracer-Cache", "hit")
-		writeBody(w, http.StatusOK, body)
+		s.cache.remember(r.bk, r.key)
+		s.answerCachedLocked(w, r.kind, r.key, "hit", body)
 		return
 	}
 	if s.store != nil {
@@ -370,10 +426,8 @@ func (s *Server) submit(w http.ResponseWriter, hr *http.Request, r *resolved) {
 		s.mu.Lock()
 		if ok {
 			s.cache.Put(r.key, body)
-			s.reviveJobLocked(r, body)
-			s.mu.Unlock()
-			w.Header().Set("X-Webracer-Cache", "store-hit")
-			writeBody(w, http.StatusOK, body)
+			s.cache.remember(r.bk, r.key)
+			s.answerCachedLocked(w, r.kind, r.key, "store-hit", body)
 			return
 		}
 		if s.draining {
@@ -426,8 +480,8 @@ func (s *Server) retryAfterSeconds() int {
 
 // reviveJobLocked makes sure a cache-served key has a finished job record
 // so GET /v1/jobs/{id} answers for it. Caller holds s.mu.
-func (s *Server) reviveJobLocked(r *resolved, body []byte) {
-	if j, ok := s.jobs[r.key]; ok && j.finishedState() {
+func (s *Server) reviveJobLocked(kind jobKind, key string, body []byte) {
+	if j, ok := s.jobs[key]; ok && j.finishedState() {
 		return
 	} else if ok {
 		// In-flight job for a key already cached cannot happen: jobs are
@@ -435,10 +489,10 @@ func (s *Server) reviveJobLocked(r *resolved, body []byte) {
 		_ = j
 		return
 	}
-	j := &job{id: r.key, kind: r.kind, status: "done", body: body, code: http.StatusOK,
+	j := &job{id: key, kind: kind, status: "done", body: body, code: http.StatusOK,
 		done: make(chan struct{})}
 	close(j.done)
-	s.jobs[r.key] = j
+	s.jobs[key] = j
 	s.finished = append(s.finished, j.id)
 	s.pruneHistoryLocked()
 }
@@ -494,6 +548,7 @@ func (s *Server) runJob(j *job, r *resolved) {
 		j.body = body
 		if cacheable {
 			s.cache.Put(j.id, body)
+			s.cache.remember(r.bk, j.id)
 		} else {
 			s.cInterrupted.Inc()
 		}
@@ -919,8 +974,8 @@ func detectResponse(r *resolved, res *webracer.Result) DetectResponse {
 		resp.Races = append(resp.Races, RaceJSON{
 			Type:    report.Classify(rep).String(),
 			Loc:     rep.Loc.String(),
-			Prior:   fmt.Sprintf("%s op%d %s", rep.Prior.Kind, rep.Prior.Op, rep.Prior.Ctx),
-			Current: fmt.Sprintf("%s op%d %s", rep.Current.Kind, rep.Current.Op, rep.Current.Ctx),
+			Prior:   accessLabel(rep.Prior),
+			Current: accessLabel(rep.Current),
 			Env:     rep.Env,
 		})
 	}
@@ -936,6 +991,18 @@ func detectResponse(r *resolved, res *webracer.Result) DetectResponse {
 		}
 	}
 	return resp
+}
+
+// accessLabel renders one access of a race as "<kind> op<N> <context>",
+// e.g. "write op12 plain", in one allocation.
+func accessLabel(a race.Access) string {
+	var buf [48]byte
+	b := append(buf[:0], a.Kind.String()...)
+	b = append(b, " op"...)
+	b = strconv.AppendInt(b, int64(a.Op), 10)
+	b = append(b, ' ')
+	b = append(b, a.Ctx.String()...)
+	return string(b)
 }
 
 // ---- encoding helpers ----

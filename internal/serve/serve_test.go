@@ -434,6 +434,7 @@ func TestBadRequests(t *testing.T) {
 		`{"site":` + racySite + `,"entry":"missing.html"}`,       // bad entry
 		`{"site":` + racySite + `,"tyop":1}`,                     // unknown field
 		`{"site":` + racySite + `,"fault":{"perURL":{"x":"?"}}}`, // bad fault kind
+		`{"spec":{"index":-1}}`,                                  // negative index
 		`not json`,
 	} {
 		resp, _ := post(t, ts, "/v1/detect", body)
