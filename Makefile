@@ -1,12 +1,12 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test chaos cluster predictive sampled prune obs docs linkcheck loadtest bench bench-all benchcmp examples experiments outputs clean
+.PHONY: all build vet test chaos cluster predictive sampled prune obs docs linkcheck bench bench-all benchcmp examples experiments outputs clean
 
 # Repetitions for the detector benchmarks; raise for benchstat-grade noise
 # bounds (e.g. `make bench BENCH_COUNT=10`).
 BENCH_COUNT ?= 5
 
-all: build vet test obs docs linkcheck cluster loadtest prune
+all: build vet test obs docs linkcheck cluster prune
 
 build:
 	go build ./...
@@ -35,11 +35,14 @@ chaos:
 # corrupts 10% of the persisted store entries, and asserts byte-identical
 # results vs a healthy single node with zero 5xx and golden-pinned
 # retry/quarantine counters (internal/serve/testdata/golden/). The store
-# crash-recovery battery, the router/persistence tests, and the request
+# crash-recovery battery, the router/persistence tests, the request
 # memo's tests and FuzzServeKey seed corpus (a repeat answered from its
-# bytes must equal the decode path's answer) ride along.
+# bytes must equal the decode path's answer), and the load replay (2000
+# concurrent requests through the router at backend workers 1 and 4,
+# every answer byte-identical to its cold bytes, endpoint and cache-level
+# counts pinned) ride along.
 cluster:
-	go test -race -run 'TestChaos|TestRouter|TestStore|TestRequestBodyLimit|TestRetryAfter|TestMemo|FuzzServeKey' ./internal/serve/
+	go test -race -run 'TestChaos|TestRouter|TestStore|TestRequestBodyLimit|TestRetryAfter|TestMemo|FuzzServeKey|TestClusterLoadByteIdentical' ./internal/serve/
 	go test -race ./internal/store/
 
 # Predictive-detection battery under the Go race detector: the
@@ -96,20 +99,11 @@ obs:
 	./scripts/metricsdiff.sh
 
 # Godoc coverage gate: every exported identifier in the documented
-# surface (root package, serve, obs, fault, canon, explore, the bench
-# harness) must carry a doc comment. scripts/checkdocs is a tiny go/ast
-# walker — presence only, wording is review's job.
+# surface (root package, serve, store, obs, fault, canon, explore) must
+# carry a doc comment. scripts/checkdocs is a tiny go/ast walker —
+# presence only, wording is review's job.
 docs:
-	go run ./scripts/checkdocs . internal/serve internal/store internal/obs internal/fault internal/canon internal/explore cmd/webracerbench
-
-# Load-test gate: webracerbench replays a 2000-request seeded trace
-# against an in-process 3-node cluster + router, verifies every response
-# byte-identical to its cold bytes (including a fresh-node recompute),
-# and pins the report's deterministic fields against
-# cmd/webracerbench/testdata/golden/loadtest.json. Update deliberately
-# with `go test ./cmd/webracerbench -run TestLoadtestGolden -update`.
-loadtest:
-	go test -race -count=1 -run TestLoadtestGolden ./cmd/webracerbench
+	go run ./scripts/checkdocs . internal/serve internal/store internal/obs internal/fault internal/canon internal/explore
 
 # Documentation rot gate: every relative markdown link and backticked
 # `*.go` reference in the repo's *.md files must resolve to a real file.

@@ -51,19 +51,10 @@ func TestRequestIDEchoOnErrors(t *testing.T) {
 
 	postID := func(body, id string) *http.Response {
 		t.Helper()
-		hr, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect", strings.NewReader(body))
+		resp, _, err := postWithID(http.DefaultClient, ts.URL+"/v1/detect", body, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hr.Header.Set("Content-Type", "application/json")
-		if id != "" {
-			hr.Header.Set(HeaderRequestID, id)
-		}
-		resp, err := http.DefaultClient.Do(hr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
 		return resp
 	}
 
@@ -243,17 +234,10 @@ func TestRouterAttemptsHeaderAndIDPropagation(t *testing.T) {
 	var backendLog syncBuffer
 	c := newCluster(t, 2, Config{Workers: 1, AccessLog: &backendLog}, RouterConfig{})
 
-	hr, err := http.NewRequest(http.MethodPost, c.rts.URL+"/v1/detect", strings.NewReader(detectReq(1, 9)))
+	resp, _, err := postWithID(http.DefaultClient, c.rts.URL+"/v1/detect", detectReq(1, 9), "prop-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr.Header.Set("Content-Type", "application/json")
-	hr.Header.Set(HeaderRequestID, "prop-1")
-	resp, err := http.DefaultClient.Do(hr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("routed detect: %d", resp.StatusCode)
 	}

@@ -83,15 +83,25 @@ func detectReq(idx int, seed int64) string {
 // TestRouterRoutesAndRelaysBackendCache: distinct jobs spread across the
 // fleet, every response names its backend, and a repeat POST relays the
 // backend's cache hit — the router never recomputes what a node already
-// knows.
+// knows. Every answer declares its Content-Length, also past net/http's
+// 2 KiB response buffer, so the router reads a backend's body into one
+// buffer of the right size.
 func TestRouterRoutesAndRelaysBackendCache(t *testing.T) {
 	c := newCluster(t, 3, Config{Workers: 2}, RouterConfig{})
 	used := map[string]bool{}
+	longest := 0
 	for i := 0; i < 8; i++ {
 		resp, body := post(t, c.rts, "/v1/detect", detectReq(i, 1))
 		if resp.StatusCode != 200 {
 			t.Fatalf("job %d: %d %s", i, resp.StatusCode, body)
 		}
+		direct, _ := post(t, c.tss[0], "/v1/detect", detectReq(i, 1))
+		for _, r := range []*http.Response{resp, direct} {
+			if r.ContentLength != int64(len(body)) {
+				t.Fatalf("job %d: Content-Length %d, body %d bytes", i, r.ContentLength, len(body))
+			}
+		}
+		longest = max(longest, len(body))
 		be := resp.Header.Get("X-Webracer-Backend")
 		if !strings.HasPrefix(be, "b") {
 			t.Fatalf("job %d: X-Webracer-Backend = %q", i, be)
@@ -111,6 +121,9 @@ func TestRouterRoutesAndRelaysBackendCache(t *testing.T) {
 	}
 	if len(used) < 2 {
 		t.Fatalf("8 keys all hashed to one backend: %v", used)
+	}
+	if longest <= 2048 {
+		t.Fatalf("longest answer is %d bytes; the Content-Length check needs one past 2 KiB", longest)
 	}
 }
 

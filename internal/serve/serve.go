@@ -1033,9 +1033,12 @@ func mustMarshal(v any) []byte {
 	return b
 }
 
-// writeBody writes a prebuilt JSON body.
+// writeBody writes a prebuilt JSON body. It declares the length, so
+// net/http sends no body chunked and a router reading a backend's answer
+// sizes its buffer once.
 func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
 }
