@@ -77,12 +77,12 @@ sampled:
 # Schedule-pruning battery under the Go race detector: the pruned-vs-
 # unpruned differential (byte-identical sweeps at workers 1 vs 4 across
 # the sched/fault/stress corpora, every replayable detector, filters and
-# fault plans), the canonical-fingerprint invariance layer and its
-# byte-identity differentials against the original implementations,
+# fault plans), the fingerprint's invariance layer and its partition
+# differentials against the DAG-canonicalizer oracle,
 # the class-accounting unit tests, the serve-layer prune tests, the
 # degraded-sweep tests (one report, pruned or not), and the
 # pinned explore.classes.* golden; then one iteration of the pruning
-# benchmarks and a short run of the relabeling/oracle fuzzer. The E12
+# benchmarks and a short run of the partition fuzzer. The E12
 # table reprints the passes-saved numbers.
 prune:
 	go test -race -run 'TestPrune|TestFingerprint|TestClassSet|TestClassStats|TestGoldenMetricsPrune|TestSweepDegraded' . ./internal/canon/ ./internal/explore/ ./internal/serve/

@@ -10,7 +10,7 @@ import (
 
 // sessionDoc mirrors the fields of an exported webracer session
 // (session.go) that carry the happens-before structure — just enough to
-// rebuild a labeled DAG without importing the root package.
+// rebuild an execution without importing the root package.
 type sessionDoc struct {
 	Ops []struct {
 		ID    int32  `json:"id"`
@@ -32,89 +32,93 @@ type sessionAccess struct {
 	Ctx  string `json:"ctx"`
 }
 
-// builderFromSession rebuilds a fingerprint builder from an exported
-// session document under an optional relabeling permutation (perm[i-1]
-// is the new ID of op i; nil means identity).
-func builderFromSession(doc sessionDoc, perm []int) *Builder {
-	b := New(len(doc.Ops))
-	feedSession(b, doc, perm)
-	return b
-}
-
-// feedSession declares doc's edges and events on b, under perm.
-func feedSession(b builder, doc sessionDoc, perm []int) {
-	n := len(doc.Ops)
-	id := func(raw int32) int {
-		i := int(raw)
-		if perm == nil || i < 1 || i > n {
-			return i
-		}
-		return perm[i-1]
+// fromSession rebuilds an execution from an exported session document:
+// its dispatch operations, its edges as the DAG, and its trace (or, for
+// sessions exported without one, its races' accesses) grouped by
+// location. It reports false when data is not a session with operations.
+func fromSession(data []byte) (input, bool) {
+	var doc sessionDoc
+	if json.Unmarshal(data, &doc) != nil || len(doc.Ops) == 0 || len(doc.Ops) > 1<<10 ||
+		len(doc.Edges) > 1<<13 || len(doc.Trace)+2*len(doc.Races) > 1<<12 {
+		return input{}, false
 	}
-	for _, e := range doc.Edges {
-		b.Edge(id(e[0]), id(e[1]))
-	}
+	in := input{n: len(doc.Ops), edges: doc.Edges}
 	for _, o := range doc.Ops {
 		switch o.Kind {
 		case "handler", "anchor", "join", "user":
-			b.Event(id(o.ID), "op "+o.Kind+" "+o.Label)
+			in.ops = append(in.ops, "op "+o.Kind+" "+o.Label)
 		}
 	}
-	access := func(a sessionAccess) {
-		b.Event(id(a.Op), a.Kind+" "+a.Loc+" ["+a.Ctx+"]")
-	}
-	for _, a := range doc.Trace {
-		access(a)
-	}
-	if len(doc.Trace) == 0 {
+	trace := doc.Trace
+	if len(trace) == 0 {
 		for _, r := range doc.Races {
-			access(r.Prior)
-			access(r.Current)
+			trace = append(trace, r.Prior, r.Current)
 		}
 	}
+	byLoc := map[string]int{}
+	for _, a := range trace {
+		i, ok := byLoc[a.Loc]
+		if !ok {
+			i = len(in.locs)
+			byLoc[a.Loc] = i
+			in.locs = append(in.locs, nil)
+		}
+		in.locs[i] = append(in.locs[i], Access{
+			Label: a.Kind + " " + a.Loc + " [" + a.Ctx + "]",
+			Write: a.Kind == "write",
+			Op:    a.Op,
+		})
+	}
+	return in, true
 }
 
-// isDAG reports whether the edge list (after the same filtering Edge
-// applies: in-range, non-self) is acyclic over n nodes.
-func isDAG(n int, edges [][2]int32) bool {
-	indeg := make([]int, n+1)
-	succs := make([][]int32, n+1)
-	for _, e := range edges {
-		from, to := int(e[0]), int(e[1])
-		if from < 1 || to < 1 || from > n || to > n || from == to {
-			continue
+// fromProgram decodes arbitrary bytes as a small execution, so that
+// byte-level mutation explores streams directly: the operation count,
+// the DAG's forward edges, the dispatch labels, then per location its
+// label and accesses, each access one byte (kind, context, operation).
+// Missing bytes read as zero.
+func fromProgram(data []byte) input {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
 		}
-		indeg[to]++
-		succs[from] = append(succs[from], e[1])
+		b := data[0]
+		data = data[1:]
+		return int(b)
 	}
-	queue := make([]int32, 0, n)
-	for i := 1; i <= n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		for _, t := range succs[i] {
-			indeg[t]--
-			if indeg[t] == 0 {
-				queue = append(queue, t)
+	in := input{n: 1 + next()%8}
+	for j := 2; j <= in.n; j++ {
+		edges := next()
+		for i := 1; i < j; i++ {
+			if edges>>(i-1)&1 == 1 {
+				in.edges = append(in.edges, [2]int32{int32(i), int32(j)})
 			}
 		}
 	}
-	return done == n
+	for k := next() % 4; k > 0; k-- {
+		in.ops = append(in.ops, testOpLabels[next()%len(testOpLabels)])
+	}
+	for k := next() % 6; k > 0; k-- {
+		loc := testLocLabels[next()%len(testLocLabels)]
+		var st []Access
+		for a := next() % 10; a > 0; a-- {
+			b := next()
+			st = append(st, testAccess(b&1 == 1, loc, testCtxs[b>>1&1], int32(1+(b>>2)%in.n)))
+		}
+		in.locs = append(in.locs, st)
+	}
+	return in
 }
 
-// FuzzCanonicalFingerprint fuzzes the fingerprint's core contract on
-// arbitrary session-shaped inputs: computing it is total (no panics, no
-// hangs, even on cyclic or malformed edge lists), deterministic, equal
-// byte for byte to the original Builder's (oracle_test.go), and
-// invariant under relabeling the operations of the same partial order.
-// The seed corpus is the repo's exported golden sessions
-// (testdata/golden/*.json), so real HB graphs anchor the search.
+// FuzzCanonicalFingerprint fuzzes the partition contract on random
+// location streams — kinds, contexts, operations and a random HB DAG,
+// decoded from the bytes by fromProgram, or a whole exported session for
+// the seed corpus (the repo's golden sessions, so real HB graphs anchor
+// the search). Each input is paired with a mutation of itself drawn from
+// mutSeed: the two must share a fingerprint exactly when they share the
+// DAG canonicalizer's. Fingerprinting is also total (no panics, even on
+// cyclic or out-of-range edges), deterministic and invariant under
+// relabeling the operations.
 func FuzzCanonicalFingerprint(f *testing.F) {
 	seeds, _ := filepath.Glob("../../testdata/golden/*.json")
 	for _, path := range seeds {
@@ -122,36 +126,20 @@ func FuzzCanonicalFingerprint(f *testing.F) {
 			f.Add(data, uint64(1))
 		}
 	}
-	f.Add([]byte(`{"ops":[{"id":1,"kind":"handler","label":"click"}],"edges":[[1,1]]}`), uint64(7))
-	f.Fuzz(func(t *testing.T, data []byte, permSeed uint64) {
-		var doc sessionDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Skip()
+	f.Add([]byte("\x05\x01\x03\x07\x0f\x02\x00\x01\x02\x00\x06\x01\x05\x12\x21\x34\x40\x03"), uint64(7))
+	f.Fuzz(func(t *testing.T, data []byte, mutSeed uint64) {
+		in, ok := fromSession(data)
+		if !ok {
+			in = fromProgram(data)
 		}
-		if len(doc.Ops) > 4096 || len(doc.Edges) > 1<<16 || len(doc.Trace) > 1<<16 {
-			t.Skip()
+		fp := in.fingerprint()
+		if again := in.fingerprint(); again != fp {
+			t.Fatalf("recomputation drifted: %s vs %s", fp, again)
 		}
-		fp := builderFromSession(doc, nil).Fingerprint()
-		if again := builderFromSession(doc, nil).Fingerprint(); again != fp {
-			t.Fatalf("rebuild drifted: %s vs %s", fp, again)
-		}
-		o := newOracle(len(doc.Ops))
-		feedSession(o, doc, nil)
-		if want := o.Fingerprint(); fp != want {
-			t.Fatalf("fingerprint %s, oracle %s", fp, want)
-		}
-		// Relabeling invariance is a DAG property: on cyclic garbage the
-		// fingerprint is only promised to be deterministic, not canonical.
-		if !isDAG(len(doc.Ops), doc.Edges) {
-			return
-		}
-		rng := rand.New(rand.NewSource(int64(permSeed)))
-		perm := rng.Perm(len(doc.Ops))
-		for i := range perm {
-			perm[i]++
-		}
-		if got := builderFromSession(doc, perm).Fingerprint(); got != fp {
+		rng := rand.New(rand.NewSource(int64(mutSeed)))
+		if got := in.relabel(randomPerm(rng, in.n)).fingerprint(); got != fp {
 			t.Fatalf("fingerprint changed under relabeling: %s vs %s", got, fp)
 		}
+		samePartition(t, "mutation", in, mutate(in, rng))
 	})
 }

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,10 +12,12 @@ import (
 	"testing"
 )
 
-// oracleBuilder is the original per-node-slice Builder, kept verbatim as
-// the differential oracle for the flat-list Builder: every fingerprint
-// the production code computes must equal this one's, byte for byte,
-// on any input (DAG or not).
+// oracleBuilder is the generic DAG canonicalizer the package once was,
+// in its original per-node-slice form: a Merkle hash of a labeled
+// partial order by Foata depth, label multiset and sorted ancestor
+// hashes. It is the partition oracle for the chain-digest Builder: two
+// inputs must share a Builder fingerprint exactly when they share this
+// one's (oracleFingerprint).
 type oracleBuilder struct {
 	preds  [][]int32
 	events [][]string
@@ -191,117 +193,115 @@ func oracleMergeUnique(a, b []int32) []int32 {
 	return out
 }
 
-// builder is what the session and random-input feeders need from both
-// the production Builder and the oracle.
-type builder interface {
-	Edge(from, to int)
-	Event(id int, label string)
-}
-
-// hostileInput is a random op list over n nodes: edges in both
-// directions (so cycles), duplicate edges, self edges and IDs outside
-// 1..n, and events drawn from a small label pool so labels repeat on
-// one node and across nodes.
-type hostileInput struct {
-	n      int
-	edges  [][2]int
-	events []struct {
-		id    int
-		label string
+// oracleFingerprint feeds in to the DAG canonicalizer the way the
+// pruned sweep did before the chain digests: one node per dispatch label
+// and per access, an edge for every HB-ordered conflicting pair of a
+// location, and the observed-order chain up to the final write.
+func oracleFingerprint(in input) string {
+	total := len(in.ops)
+	for _, st := range in.locs {
+		total += len(st)
 	}
-}
-
-func randomHostile(rng *rand.Rand) hostileInput {
-	in := hostileInput{n: rng.Intn(40)}
-	id := func() int { return rng.Intn(in.n+3) - 1 } // -1 .. n+1
-	labels := []string{"", "w var a.x [plain]", "r var a.x [plain]", "w elem #dw [elem-insert]",
-		"op handler click #?", "r var obj?.value [form-field]", "x\x00y"}
-	for k := rng.Intn(4 * (in.n + 1)); k > 0; k-- {
-		e := [2]int{id(), id()}
-		switch rng.Intn(8) {
-		case 0: // acyclic-looking forward edge, duplicated
-			if e[0] > e[1] {
-				e[0], e[1] = e[1], e[0]
+	o := newOracle(total)
+	id := 0
+	for _, l := range in.ops {
+		id++
+		o.Event(id, l)
+	}
+	hb := in.hb()
+	for _, st := range in.locs {
+		node := func(j int) int { return id + 1 + j }
+		lastW := -1
+		for j, a := range st {
+			if a.Write {
+				lastW = j
 			}
-			in.edges = append(in.edges, e)
-		case 1:
-			e[1] = e[0] // self edge
 		}
-		in.edges = append(in.edges, e)
-	}
-	for k := rng.Intn(2 * (in.n + 1)); k > 0; k-- {
-		in.events = append(in.events, struct {
-			id    int
-			label string
-		}{id(), labels[rng.Intn(len(labels))]})
-	}
-	return in
-}
-
-func (in hostileInput) feed(b builder) {
-	for _, e := range in.edges {
-		b.Edge(e[0], e[1])
-	}
-	for _, ev := range in.events {
-		b.Event(ev.id, ev.label)
-	}
-}
-
-// TestFingerprintMatchesOracle is the byte-identity differential: on
-// random inputs — acyclic and cyclic, with duplicate, self and
-// out-of-range edges and repeated labels — the flat-list Builder's
-// fingerprint equals the original Builder's. Every third input has its
-// edges turned forward, making it a DAG like the ones the sweep drivers
-// build, often with nodes of high in-degree.
-func TestFingerprintMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 3000; trial++ {
-		in := randomHostile(rng)
-		if trial%3 == 0 {
-			// Forward-only: a DAG, often with high in-degree.
-			for k := range in.edges {
-				if e := &in.edges[k]; e[0] > e[1] {
-					e[0], e[1] = e[1], e[0]
+		for j, a := range st {
+			o.Event(node(j), a.Label)
+			if lastW < 0 {
+				continue
+			}
+			for k, p := range st[:j] {
+				if (a.Write || p.Write) && (p.Op == a.Op || hb(p.Op, a.Op)) {
+					o.Edge(node(k), node(j))
 				}
 			}
+			if j > 0 && j <= lastW {
+				o.Edge(node(j-1), node(j))
+			}
 		}
-		b, o := New(in.n), newOracle(in.n)
-		in.feed(b)
-		in.feed(o)
-		want := o.Fingerprint()
-		if got := b.Fingerprint(); got != want {
-			t.Fatalf("trial %d: fingerprint %s, oracle %s\ninput: %+v", trial, got, want, in)
+		id += len(st)
+	}
+	return o.Fingerprint()
+}
+
+// samePartition reports a failure unless a and b share a fingerprint
+// exactly when they share an oracle fingerprint, and returns whether
+// they share one.
+func samePartition(t *testing.T, what string, a, b input) bool {
+	t.Helper()
+	got := a.fingerprint() == b.fingerprint()
+	if want := oracleFingerprint(a) == oracleFingerprint(b); got != want {
+		t.Fatalf("%s: fingerprints equal %v, oracle fingerprints equal %v\na: %+v\nb: %+v",
+			what, got, want, a, b)
+	}
+	return got
+}
+
+// TestFingerprintMatchesOracle is the partition differential on random
+// executions: each is paired with a random mutation of itself, some
+// class-preserving and some not, and with the previous execution.
+// Both outcomes must occur often, or the check proved little.
+func TestFingerprintMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var equal, split int
+	prev := randomInput(rng)
+	for trial := 0; trial < 4000; trial++ {
+		in := randomInput(rng)
+		for _, other := range []input{mutate(in, rng), mutate(mutate(in, rng), rng), prev} {
+			if samePartition(t, fmt.Sprintf("trial %d", trial), in, other) {
+				equal++
+			} else {
+				split++
+			}
 		}
-		if again := b.Fingerprint(); again != want {
-			t.Fatalf("trial %d: second call drifted", trial)
-		}
+		prev = in
+	}
+	if equal < 1000 || split < 1000 {
+		t.Fatalf("%d equal and %d split pairs: too few of one kind", equal, split)
 	}
 }
 
-// TestFingerprintMatchesOracleSessions runs the differential over the
-// committed golden sessions, the real HB graphs the fuzzer also seeds
-// from.
+// TestFingerprintMatchesOracleSessions runs the partition differential
+// over the committed golden sessions, the real HB graphs the fuzzer also
+// seeds from: each session against its relabeling, its mutations and the
+// other sessions.
 func TestFingerprintMatchesOracleSessions(t *testing.T) {
 	paths, _ := filepath.Glob("../../testdata/golden/*.json")
-	checked := 0
+	rng := rand.New(rand.NewSource(5))
+	var sessions []input
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc sessionDoc
-		if json.Unmarshal(data, &doc) != nil || len(doc.Ops) == 0 {
+		in, ok := fromSession(data)
+		if !ok || len(in.locs) == 0 {
 			continue
 		}
-		b, o := New(len(doc.Ops)), newOracle(len(doc.Ops))
-		feedSession(b, doc, nil)
-		feedSession(o, doc, nil)
-		if got, want := b.Fingerprint(), o.Fingerprint(); got != want {
-			t.Errorf("%s: fingerprint %s, oracle %s", path, got, want)
+		if !samePartition(t, path+" relabeled", in, in.relabel(randomPerm(rng, in.n))) {
+			t.Fatalf("%s: relabeling split the class", path)
 		}
-		checked++
+		for k := 0; k < 20; k++ {
+			samePartition(t, path+" mutated", in, mutate(in, rng))
+		}
+		for _, other := range sessions {
+			samePartition(t, path, in, other)
+		}
+		sessions = append(sessions, in)
 	}
-	if checked == 0 {
+	if len(sessions) == 0 {
 		t.Fatal("no golden sessions found")
 	}
 }

@@ -34,7 +34,8 @@ type ParallelConfig struct {
 	// Prune enables HB-equivalence schedule pruning for the seed and
 	// delay-one sweeps: every unit still executes (cheaply — trace
 	// recorded, live race checking off), each execution is classified
-	// by its canonical HB-trace fingerprint (internal/canon), and the
+	// by its trace-class fingerprint (per-location chain digests of
+	// the accesses and their HB orientations, internal/canon), and the
 	// detector pass runs once per distinct class; repeats reuse their
 	// class's verdict. The aggregate is byte-identical to the unpruned
 	// sweep at any worker count. Requires a trace-replayable detector —

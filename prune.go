@@ -2,8 +2,10 @@ package webracer
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"webracer/internal/canon"
 	"webracer/internal/explore"
@@ -50,130 +52,161 @@ func cheapConfig(cfg Config) Config {
 	return c
 }
 
-// fingerprintOf computes the run's canonical trace-class fingerprint:
-// the canon hash of the HB partial order restricted to the events every
-// replayable detector and filter consults — shared-memory accesses and
-// the dispatch machinery — and to nothing else (see DESIGN.md "Schedule
-// pruning"). The encoding, per location of the recorded trace:
-//
-//   - one canon node per access, labeled kind + location + context (the
-//     exact fields detectors and the §5.3 filters read — never the
-//     free-form Desc, never the performing operation's identity, which
-//     varies benignly with timer jitter);
-//   - an orientation edge for every HB-ordered *conflicting* pair at the
-//     location (at least one side a write) — the bits every pairwise /
-//     accessset check consults;
-//   - an observed-order chain over the accesses up to the location's
-//     final write, because the shipped §5.1 pairwise detector keeps only
-//     last-read/last-write state and its verdict therefore depends on
-//     which conflicting access was observed *last*, not just on the
-//     partial order. Accesses after the final write can never become a
-//     consulted lastRead/lastWrite, so their mutual order is left free.
+// fingerprintOf computes the run's trace-class fingerprint: the canon
+// hash of the events every replayable detector and filter consults —
+// shared-memory accesses and the dispatch machinery — and of nothing
+// else (see DESIGN.md "Schedule pruning"). Each location of the recorded
+// trace is one canon stream whose accesses are labeled kind + location
+// + context: the exact fields detectors and the §5.3 filters read,
+// never the free-form Desc and never the performing operation's
+// identity, which varies benignly with timer jitter. Canon orders every
+// HB-ordered conflicting pair and chains the accesses up to the final
+// write, because the shipped §5.1 pairwise detector keeps only
+// last-read/last-write state and its verdict depends on which
+// conflicting access was observed last.
 //
 // Dispatch operations (handler, anchor, join, user) contribute their
-// label multiset as isolated nodes. DOM serials ("#74") are normalized
-// out of labels — they renumber with parse order across seeds. Canon's
-// isomorphism invariance then merges exactly the runs whose
-// detector-observable projection coincides; over-splitting costs a
-// detector pass, while merging two runs with different verdicts would
-// need a SHA-256 collision.
+// labels. DOM serials ("#74") are normalized out of labels — they
+// renumber with parse order across seeds. Over-splitting a class costs
+// a detector pass; merging two runs with different verdicts would need
+// a SHA-256 collision.
 func fingerprintOf(res *Result) string {
 	b := res.Browser
 	trace := b.Trace()
-	nOps := b.Ops.Len()
-	cb := canon.New(nOps + len(trace))
-	node := func(traceIdx int32) int { return nOps + 1 + int(traceIdx) }
-	for id := 1; id <= nOps; id++ {
+	s := getFPScratch(trace)
+	defer s.release()
+	cb := &s.cb
+	for id := 1; id <= b.Ops.Len(); id++ {
 		o := b.Ops.Get(op.ID(id))
 		switch o.Kind {
 		case op.KindHandler, op.KindAnchor, op.KindJoin, op.KindUser:
-			cb.Event(id, "op "+o.Kind.String()+" "+canonName(o.Label))
+			k := opKey{o.Kind, o.Label}
+			l, ok := s.ops[k]
+			if !ok {
+				l = "op " + o.Kind.String() + " " + canonName(o.Label)
+				s.ops[k] = l
+			}
+			cb.Op(l)
 		}
 	}
-	streams := groupByLoc(trace)
 	g := b.HB
-	var labels []accessLabel
-	for _, st := range streams.groups {
-		stream := streams.idx[st.start:st.end]
-		labels = labels[:0]
-		lastW := -1
-		for j, idx := range stream {
-			if trace[idx].Kind == mem.Write {
-				lastW = j
-			}
-		}
-		for j, idx := range stream {
+	hb := func(x, y int32) bool { return g.HappensBefore(op.ID(x), op.ID(y)) }
+	for gi, l := range s.groups {
+		acc := s.acc[:0]
+		for _, idx := range s.stream(gi) {
 			a := &trace[idx]
-			cb.Event(node(idx), labelFor(&labels, a, st.key))
-			if lastW < 0 {
-				continue // never written: a free multiset of reads
-			}
-			for k := 0; k < j; k++ {
-				p := &trace[stream[k]]
-				if a.Kind != mem.Write && p.Kind != mem.Write {
-					continue
-				}
-				if p.Op == a.Op || g.HappensBefore(p.Op, a.Op) {
-					cb.Edge(node(stream[k]), node(idx))
-				}
-			}
-			if j > 0 && j <= lastW {
-				cb.Edge(node(stream[j-1]), node(idx))
-			}
+			acc = append(acc, canon.Access{
+				Label: labelFor(&l.labels, a, l.key),
+				Write: a.Kind == mem.Write,
+				Op:    int32(a.Op),
+			})
 		}
+		s.acc = acc
+		cb.Loc(acc, hb)
 	}
 	return cb.Fingerprint()
 }
 
-// locStreams is a trace grouped by location key: idx[g.start:g.end] are
-// the trace indices of group g's accesses, in trace order.
-type locStreams struct {
-	groups []locGroup
-	idx    []int32
+// fpScratch is the working memory of fingerprintOf and notePairs: the
+// trace grouped by location, and the fingerprint's buffers. It is
+// pooled; a sweep fingerprints every execution, and the buffers' sizes
+// repeat from one execution to the next. Its location table outlives a
+// run: the keys and labels it caches are pure functions of the Loc, and
+// a sweep's executions touch mostly the same locations.
+type fpScratch struct {
+	run    uint32
+	groups []*locInfo // this run's locations, in order of first access
+	idx    []int32    // group g's trace indices are idx[g.start:g.end]
+	of     []int32    // trace index → group
+	byLoc  map[mem.Loc]*locInfo
+	byKey  map[string]*locInfo
+	ops    map[opKey]string // dispatch labels by kind and raw label
+	acc    []canon.Access
+	cb     canon.Builder
 }
 
-type locGroup struct {
+// locInfo is one location key in the table: the key, its label memo,
+// and its group in the run that last saw it.
+type locInfo struct {
 	key        string
+	labels     []accessLabel
+	run        uint32
+	group      int32
 	start, end int32
 }
 
-// groupByLoc groups trace by Loc.String, computing each distinct
-// location's key once. The key, not the Loc, is the group: Loc.String is
-// not injective (a global named "obj3.x" prints as property x of object
-// 3 does), and the fingerprint's encoding is defined over the key.
-// Groups are in order of first access.
-func groupByLoc(trace []race.Access) locStreams {
-	byLoc := map[mem.Loc]int32{}
-	byKey := map[string]int32{}
-	var s locStreams
-	of := make([]int32, len(trace))
+// opKey is a dispatch operation's kind and raw label.
+type opKey struct {
+	kind  op.Kind
+	label string
+}
+
+// maxLocTable bounds the location and dispatch-label tables; a run that
+// finds either larger starts both afresh.
+const maxLocTable = 1 << 12
+
+func (s *fpScratch) stream(g int) []int32 {
+	return s.idx[s.groups[g].start:s.groups[g].end]
+}
+
+var fpPool = sync.Pool{New: func() any {
+	return &fpScratch{byLoc: map[mem.Loc]*locInfo{}, byKey: map[string]*locInfo{}, ops: map[opKey]string{}}
+}}
+
+// getFPScratch takes a scratch from the pool with trace grouped by
+// Loc.String, each distinct location's key computed once per table. The
+// key, not the Loc, is the group: Loc.String is not injective (a global
+// named "obj3.x" prints as property x of object 3 does), and the
+// fingerprint's encoding is defined over the key. Groups are in order of
+// first access.
+func getFPScratch(trace []race.Access) *fpScratch {
+	s := fpPool.Get().(*fpScratch)
+	s.run++
+	if s.run == 0 || len(s.byLoc) > maxLocTable || len(s.ops) > maxLocTable {
+		clear(s.byLoc)
+		clear(s.byKey)
+		clear(s.ops)
+		s.run = 1
+	}
+	s.of = slices.Grow(s.of[:0], len(trace))[:len(trace)]
 	for i := range trace {
-		gi, ok := byLoc[trace[i].Loc]
-		if !ok {
+		l := s.byLoc[trace[i].Loc]
+		if l == nil {
 			key := trace[i].Loc.String()
-			if gi, ok = byKey[key]; !ok {
-				gi = int32(len(s.groups))
-				byKey[key] = gi
-				s.groups = append(s.groups, locGroup{key: key})
+			if l = s.byKey[key]; l == nil {
+				l = &locInfo{key: key}
+				s.byKey[key] = l
 			}
-			byLoc[trace[i].Loc] = gi
+			s.byLoc[trace[i].Loc] = l
 		}
-		of[i] = gi
-		s.groups[gi].end++
+		if l.run != s.run {
+			l.run, l.group, l.end = s.run, int32(len(s.groups)), 0
+			s.groups = append(s.groups, l)
+		}
+		s.of[i] = l.group
+		l.end++
 	}
 	var off int32
-	for g := range s.groups {
-		n := s.groups[g].end
-		s.groups[g].start, s.groups[g].end = off, off
-		off += n
+	for _, l := range s.groups {
+		l.start, l.end, off = off, off, off+l.end
 	}
-	s.idx = make([]int32, len(trace))
-	for i, gi := range of {
-		g := &s.groups[gi]
-		s.idx[g.end] = int32(i)
-		g.end++
+	s.idx = slices.Grow(s.idx[:0], len(trace))[:len(trace)]
+	for i, g := range s.of {
+		l := s.groups[g]
+		s.idx[l.end] = int32(i)
+		l.end++
 	}
 	return s
+}
+
+// release drops the scratch's references into the run and returns it to
+// the pool.
+func (s *fpScratch) release() {
+	clear(s.groups)
+	clear(s.acc)
+	s.groups = s.groups[:0]
+	s.cb.Reset()
+	fpPool.Put(s)
 }
 
 // accessLabel memoizes one fingerprint event label of a location group:
@@ -188,8 +221,8 @@ type accessLabel struct {
 }
 
 // labelFor returns a's event label, given its location key, from the
-// group's memo (a handful of entries: one per kind and context seen at
-// the location).
+// location's memo (a handful of entries: one per kind and context seen
+// at the location).
 func labelFor(memo *[]accessLabel, a *race.Access, key string) string {
 	for _, m := range *memo {
 		if m.kind == a.Kind && m.ctx == a.Ctx {
@@ -334,27 +367,18 @@ func analyzeClass(cfg Config, res *Result) {
 // is ordered (unordered pairs are already races — there is nothing left
 // to flip). Keys are location plus the two operation labels, so a
 // perturbation can be matched to the pairs its delayed URL could flip.
-// Only the delay-one sweep reads the index.
+// Locations are grouped as the fingerprint groups them. Only the
+// delay-one sweep reads the index.
 func notePairs(cs *explore.ClassSet, res *Result) {
+	trace := res.Browser.Trace()
+	s := getFPScratch(trace)
+	defer s.release()
 	type access struct {
-		loc  string
 		op   op.ID
 		kind mem.AccessKind
 	}
-	locKeys := map[mem.Loc]string{}
-	byLoc := map[string][]race.Access{}
 	seen := map[access]bool{}
-	for _, a := range res.Browser.Trace() {
-		key, ok := locKeys[a.Loc]
-		if !ok {
-			key = a.Loc.String()
-			locKeys[a.Loc] = key
-		}
-		if k := (access{key, a.Op, a.Kind}); !seen[k] {
-			seen[k] = true
-			byLoc[key] = append(byLoc[key], a)
-		}
-	}
+	var accs []access
 	g := res.Browser.HB
 	labels := map[op.ID]string{}
 	label := func(id op.ID) string {
@@ -366,28 +390,36 @@ func notePairs(cs *explore.ClassSet, res *Result) {
 		}
 		return l
 	}
-	for locKey, accs := range byLoc {
+	for gi, l := range s.groups {
+		clear(seen)
+		accs = accs[:0]
+		for _, idx := range s.stream(gi) {
+			if a := (access{trace[idx].Op, trace[idx].Kind}); !seen[a] {
+				seen[a] = true
+				accs = append(accs, a)
+			}
+		}
 		for i := 0; i < len(accs); i++ {
 			for j := i + 1; j < len(accs); j++ {
 				x, y := accs[i], accs[j]
-				if x.Op == y.Op || (x.Kind != mem.Write && y.Kind != mem.Write) {
+				if x.op == y.op || (x.kind != mem.Write && y.kind != mem.Write) {
 					continue
 				}
 				var forward bool
 				switch {
-				case g.HappensBefore(x.Op, y.Op):
+				case g.HappensBefore(x.op, y.op):
 					forward = true
-				case g.HappensBefore(y.Op, x.Op):
+				case g.HappensBefore(y.op, x.op):
 					x, y = y, x
 					forward = true
 				default:
 					continue // unordered: already racing
 				}
-				lx, ly := label(x.Op), label(y.Op)
+				lx, ly := label(x.op), label(y.op)
 				if lx <= ly {
-					cs.NotePair(locKey+"|"+lx+"|"+ly, forward)
+					cs.NotePair(l.key+"|"+lx+"|"+ly, forward)
 				} else {
-					cs.NotePair(locKey+"|"+ly+"|"+lx, !forward)
+					cs.NotePair(l.key+"|"+ly+"|"+lx, !forward)
 				}
 			}
 		}

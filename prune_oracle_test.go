@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"webracer/internal/canon"
 	"webracer/internal/explore"
 	"webracer/internal/loader"
 	"webracer/internal/mem"
@@ -21,8 +20,10 @@ import (
 )
 
 // The original regexp canonName and map-of-strings fingerprintOf are
-// kept here as oracles: the production code must produce exactly their
-// strings, so every class, every pruned pass and every golden stays put.
+// kept here as oracles. canonName must produce exactly the regexp's
+// strings; fingerprintOf must split runs into exactly the oracle's
+// classes (its strings differ), so every pruned pass and every golden
+// stays put.
 
 var oracleDOMSerial = regexp.MustCompile(`#[0-9]+|\b(?:obj|node)[0-9]+\b`)
 
@@ -43,7 +44,7 @@ func oracleFingerprintOf(res *Result) string {
 	b := res.Browser
 	trace := b.Trace()
 	nOps := b.Ops.Len()
-	cb := canon.New(nOps + len(trace))
+	cb := newCanon(nOps + len(trace))
 	node := func(traceIdx int) int { return nOps + 1 + traceIdx }
 	for id := 1; id <= nOps; id++ {
 		o := b.Ops.Get(op.ID(id))
@@ -188,21 +189,38 @@ func oracleSites() []*loader.Site {
 	return append(sites, sitegen.Generate(sitegen.StressSpec(0)), sitegen.Fig1(), sitegen.Fig4())
 }
 
-// TestPruneFingerprintMatchesOracle: on the cheap-pass results of sched,
-// fault, corpus and stress pages at several seeds, fingerprintOf
-// returns the oracle's string.
+// TestPruneFingerprintMatchesOracle is the partition differential: on
+// the cheap-pass results of sched, fault, corpus and stress pages and
+// the paper figures at 16 seeds each, two runs share a fingerprint
+// exactly when they share the DAG canonicalizer's. The check spans all
+// runs at once, so a merge across pages would fail it too.
 func TestPruneFingerprintMatchesOracle(t *testing.T) {
-	seeds := []int64{1, 2, 7920, 15839, 424242}
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 7920, 15839, 99991, 424242}
+	toOracle, fromOracle := map[string]string{}, map[string]string{}
+	runs := 0
 	for _, site := range oracleSites() {
 		for _, seed := range seeds {
 			cfg := cheapConfig(DefaultConfig(1))
 			cfg.Seed = seed
 			res := RunConfig(site, cfg)
-			if got, want := fingerprintOf(res), oracleFingerprintOf(res); got != want {
-				t.Errorf("%s seed %d: fingerprint %s, oracle %s", site.Name, seed, got, want)
+			got, want := fingerprintOf(res), oracleFingerprintOf(res)
+			if again := fingerprintOf(res); again != got {
+				t.Fatalf("%s seed %d: fingerprint drifted: %s vs %s", site.Name, seed, got, again)
 			}
+			if o, ok := toOracle[got]; ok && o != want {
+				t.Errorf("%s seed %d: fingerprint %s merges oracle classes %s and %s", site.Name, seed, got, o, want)
+			}
+			if f, ok := fromOracle[want]; ok && f != got {
+				t.Errorf("%s seed %d: oracle class %s splits into %s and %s", site.Name, seed, want, f, got)
+			}
+			toOracle[got], fromOracle[want] = want, got
+			runs++
 		}
 	}
+	if len(toOracle) == runs {
+		t.Fatalf("%d runs in %d classes: no two runs shared a class, so the partition went unchecked", runs, len(toOracle))
+	}
+	t.Logf("%d runs, %d classes", runs, len(toOracle))
 }
 
 // oracleNotePairs is notePairs with its original string dedup key.

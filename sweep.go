@@ -40,7 +40,8 @@ type sweepRun struct {
 }
 
 // classified is a unit's run with its trace-class fingerprint, computed
-// worker-side so the in-order fold stays light ("" when unpruned).
+// worker-side so the in-order fold stays light ("" when unpruned or
+// interrupted).
 type classified struct {
 	res *Result
 	fp  string
@@ -75,8 +76,8 @@ func runSweep(plan sweepPlan, p ParallelConfig, fold func(i int, run sweepRun)) 
 			c := base
 			plan.unit(i, &c)
 			res := RunConfig(plan.site, c)
-			if !p.Prune {
-				return classified{res: res}
+			if !p.Prune || res.Interrupted != "" {
+				return classified{res: res} // an interrupted run joins no class
 			}
 			return classified{res, fingerprintOf(res)}
 		},
