@@ -76,14 +76,14 @@ sampled:
 
 # Schedule-pruning battery under the Go race detector: the pruned-vs-
 # unpruned differential (byte-identical sweeps at workers 1 vs 4 across
-# the sched/fault/stress corpora, every replayable detector, filters and
-# fault plans), the fingerprint's invariance layer and its partition
-# differentials against the DAG-canonicalizer oracle,
-# the class-accounting unit tests, the serve-layer prune tests, the
-# degraded-sweep tests (one report, pruned or not), and the
-# pinned explore.classes.* golden; then one iteration of the pruning
-# benchmarks and a short run of the partition fuzzer. The E12
-# table reprints the passes-saved numbers.
+# the sched/fault/stress corpora, all five detectors with the pairwise
+# sweep's classes, filters and fault plans), the fingerprint's
+# invariance layer and its partition differentials against the
+# DAG-canonicalizer oracle, the class-accounting unit tests, the
+# serve-layer prune tests, the degraded-sweep tests (one report, pruned
+# or not), and the pinned explore.classes.* golden; then one iteration
+# of the pruning benchmarks and a short run of the partition fuzzer. The
+# E12 table reprints the class and repeat counts.
 prune:
 	go test -race -run 'TestPrune|TestFingerprint|TestClassSet|TestClassStats|TestGoldenMetricsPrune|TestSweepDegraded' . ./internal/canon/ ./internal/explore/ ./internal/serve/
 	go test -run '^$$' -bench 'Fingerprint|SeedSweep' -benchtime 1x .

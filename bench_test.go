@@ -655,20 +655,42 @@ func pruneBenchSites() []*loader.Site {
 }
 
 // BenchmarkFingerprint isolates the canonical trace-class fingerprint
-// over the cheap-pass results of the sched and corpus pages; one op
-// fingerprints all 16.
+// over recorded runs of the sched and corpus pages; one op fingerprints
+// all 16. In the warm arm the fingerprint's location table carries over
+// from op to op, as it does across a sweep's executions; the cold arm
+// clears it before every fingerprint, the cost of a page's first
+// execution.
 func BenchmarkFingerprint(b *testing.B) {
 	var results []*Result
 	for _, site := range pruneBenchSites() {
-		results = append(results, RunConfig(site, cheapConfig(DefaultConfig(1))))
+		cfg := DefaultConfig(1)
+		cfg.RecordTrace = true
+		results = append(results, RunConfig(site, cfg))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, res := range results {
-			_ = fingerprintOf(res)
-		}
+	for _, arm := range []string{"warm", "cold"} {
+		b.Run(arm, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, res := range results {
+					if arm == "cold" {
+						clearFPTables()
+					}
+					_ = fingerprintOf(res)
+				}
+			}
+		})
 	}
+}
+
+// clearFPTables empties the location and dispatch-label tables of the
+// pooled fingerprint scratch, so the next fingerprint on this goroutine
+// computes every key and label afresh.
+func clearFPTables() {
+	s := fpPool.Get().(*fpScratch)
+	clear(s.byLoc)
+	clear(s.byKey)
+	clear(s.ops)
+	fpPool.Put(s)
 }
 
 // seedSweepBench runs an 8-seed sweep of every pruning benchmark page on
@@ -690,8 +712,8 @@ func seedSweepBench(b *testing.B, prune bool) {
 
 // BenchmarkSeedSweepPruned and BenchmarkSeedSweepUnpruned compare the
 // two seed-sweep paths on the same pages: the pruned one runs every seed
-// without a live detector, fingerprints it, and replays one trace per
-// class through the detector.
+// with its detector as the unpruned one does, and also records its trace
+// and fingerprints it, so the gap is the cost of the class report.
 func BenchmarkSeedSweepPruned(b *testing.B) { seedSweepBench(b, true) }
 
 func BenchmarkSeedSweepUnpruned(b *testing.B) { seedSweepBench(b, false) }

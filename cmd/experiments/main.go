@@ -59,7 +59,7 @@ func main() {
 		obsE   = flag.Bool("obs", false, "deterministic telemetry: per-site instrumentation table from metrics (E9)")
 		predE  = flag.Bool("predictive", false, "single-trace predictive detection: sweep-recovery recall table (E10)")
 		sampE  = flag.Bool("sampled", false, "sampled fast tier: cost vs recall vs the exact detector (E11)")
-		pruneE = flag.Bool("prune", false, "HB-equivalence schedule pruning: detector passes saved at identical results (E12)")
+		pruneE = flag.Bool("prune", false, "HB-equivalence schedule pruning: trace classes of seed sweeps at identical results (E12)")
 		mDir   = flag.String("metrics-dir", "", "with -obs: also write each site's metrics JSON into this directory (files match testdata/golden/metrics-*.json)")
 		traceF = flag.String("trace", "", "with -obs: also write fig1's virtual-time Chrome trace to this file")
 		pprofP = flag.String("pprof", "", "write process CPU and heap profiles to <prefix>.cpu.pprof and <prefix>.heap.pprof")
@@ -818,10 +818,10 @@ func runSampledTier(seed int64, n int) {
 // fault-corpus seed sweeps, then E10's 32-seed recovery measurement rerun
 // with the ground-truth sweep pruned. Every pruned aggregate is
 // byte-compared against its unpruned twin in-process — the "identical"
-// column is measured, not assumed — while the classes/passes columns show
-// what the classification saved. A pruned sweep executes every schedule
-// (cheaply: trace recorded, live race checking off) but pays the detector
-// pass once per canonical trace class.
+// column is measured, not assumed — while the classes, reps and repeat
+// columns report the classification. A pruned sweep runs every schedule
+// with its detector, as the unpruned one does, and also records and
+// fingerprints its trace.
 func runPrune(seed int64) {
 	corpus := []struct {
 		name  string
@@ -836,7 +836,7 @@ func runPrune(seed int64) {
 	fmt.Printf("== E12: HB-equivalence schedule pruning ==\n")
 	start := time.Now()
 	fmt.Printf("%-12s %6s %8s %7s %7s %6s %10s\n",
-		"site", "seeds", "classes", "passes", "saved", "races", "identical")
+		"site", "seeds", "classes", "reps", "repeat", "races", "identical")
 	runs := 0
 	for _, tc := range corpus {
 		cfg := webracer.DefaultConfig(seed)
@@ -855,9 +855,9 @@ func runPrune(seed int64) {
 		}
 		wantB, _ := json.Marshal(plain)
 		gotB, _ := json.Marshal(pruned)
-		passes := stats.Executions - stats.Pruned
+		reps := stats.Executions - stats.Pruned
 		fmt.Printf("%-12s %6d %8d %7d %6.0f%% %6d %10v\n",
-			tc.name, tc.seeds, stats.Distinct, passes,
+			tc.name, tc.seeds, stats.Distinct, reps,
 			100*float64(stats.Pruned)/float64(stats.Executions),
 			len(plain.Locations), bytes.Equal(wantB, gotB))
 		runs += 2 * tc.seeds
@@ -865,7 +865,7 @@ func runPrune(seed int64) {
 
 	fmt.Printf("E10's 32-seed recovery measurement, ground-truth sweep pruned:\n")
 	fmt.Printf("%-12s %7s %8s %7s %7s %10s\n",
-		"site", "recall", "classes", "passes", "saved", "identical")
+		"site", "recall", "classes", "reps", "repeat", "identical")
 	recovery := []struct {
 		name string
 		site *loader.Site
@@ -892,9 +892,9 @@ func runPrune(seed int64) {
 		}
 		wantB, _ := json.Marshal(plain)
 		gotB, _ := json.Marshal(pruned)
-		passes := stats.Executions - stats.Pruned
+		reps := stats.Executions - stats.Pruned
 		fmt.Printf("%-12s %6.0f%% %8d %7d %6.0f%% %10v\n",
-			tc.name, 100*pruned.Recall(), stats.Distinct, passes,
+			tc.name, 100*pruned.Recall(), stats.Distinct, reps,
 			100*float64(stats.Pruned)/float64(stats.Executions), bytes.Equal(wantB, gotB))
 		runs += 2 * (sweepSeeds + 1)
 	}

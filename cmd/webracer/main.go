@@ -14,7 +14,7 @@
 //	-detector pairwise  pairwise | pairwise-vc | accessset | predictive | sampled
 //	-rate R             sampled tier location sampling rate in (0, 1] (default 0.25)
 //	-seeds N            run under N seeds and report the union of races
-//	-prune              one detector pass per canonical trace class in -seeds sweeps
+//	-prune              report the canonical trace classes of -seeds sweeps
 //	-faults N           also sweep N deterministic fault plans (error-path races)
 //	-fault-seed S       base seed for fault-plan derivation (default: -seed)
 //	-timeout D          per-run wall-clock budget (tripped runs degrade, not fail)
@@ -63,7 +63,7 @@ func run() int {
 		advise    = flag.Bool("advise", false, "print a suggested remediation for each race")
 		exhaust   = flag.Bool("exhaustive", false, "feedback-directed exploration rounds (deeper than §5.2.2)")
 		seeds     = flag.Int("seeds", 1, "run under N seeds and report the union of races")
-		prune     = flag.Bool("prune", false, "HB-equivalence schedule pruning for -seeds sweeps: one detector pass per canonical trace class (same result bytes; requires a trace-replayable detector)")
+		prune     = flag.Bool("prune", false, "HB-equivalence class report for -seeds sweeps: classify every execution by its canonical trace class (same result bytes)")
 		faults    = flag.Int("faults", 0, "also sweep N deterministic fault plans and report error-path races")
 		faultSeed = flag.Int64("fault-seed", 0, "base seed for the fault-plan derivation (default: -seed)")
 		timeout   = flag.Duration("timeout", 0, "per-run wall-clock budget; tripped runs report partial results as degraded")
@@ -193,7 +193,7 @@ func run() int {
 				loc, sweep.Locations[loc], sweep.Seeds)
 		}
 		if *prune {
-			fmt.Printf("  pruning: %d executions in %d trace class(es), %d detector pass(es) skipped\n",
+			fmt.Printf("  pruning: %d executions in %d trace class(es), %d repeat(s) of an explored class\n",
 				classes.Executions, classes.Distinct, classes.Pruned)
 		}
 	} else if *prune {

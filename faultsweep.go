@@ -109,7 +109,7 @@ func RunFaultSweep(site *loader.Site, cfg Config, fc FaultSweepConfig, p Paralle
 
 	sweep := &FaultSweep{Site: site.Name, Seed: cfg.Seed, Locations: map[string]int{}}
 	var baseline []string
-	p.Prune = false // fault sweeps run every detector pass
+	p.Prune = false // fault sweeps report no classes
 	var err error
 	sweep.Degraded, err = runSweep(sweepPlan{
 		site: site, cfg: cfg, n: 1 + n,

@@ -1,6 +1,6 @@
 // Package canon computes the trace-class fingerprint behind
 // HB-equivalence schedule pruning: a hash of the part of one execution
-// that a trace-replayable race detector can observe, equal for two
+// that the §5.1 race detectors can observe, equal for two
 // executions exactly when that part coincides (up to a SHA-256
 // collision). "Fast, Sound and Effectively Complete Dynamic Race
 // Prediction" is the theoretical anchor; see DESIGN.md "Schedule

@@ -4,20 +4,19 @@ import "webracer/internal/obs"
 
 // ClassStats summarizes HB-equivalence pruning for one sweep: how many
 // executions ran, how many distinct trace classes they fell into, how
-// many detector passes the classification skipped, and how many
+// many executions fell into a class already explored, and how many
 // perturbations the steering heuristic flagged as targeting an event
-// pair not yet ordered both ways. Executions − Pruned is the number of
-// detector passes actually performed. The struct marshals
-// deterministically and folds into the byte-stable metrics export as the
-// explore.classes.* counters.
+// pair not yet ordered both ways. Executions − Pruned counts the class
+// representatives plus the executions excluded from classification. The
+// struct marshals deterministically and folds into the byte-stable
+// metrics export as the explore.classes.* counters.
 type ClassStats struct {
-	// Executions counts sweep units executed (classification never skips
-	// an execution — only the detector pass over it).
+	// Executions counts sweep units executed (classification skips
+	// neither an execution nor its detector pass).
 	Executions int `json:"executions"`
 	// Distinct counts distinct canonical trace classes observed.
 	Distinct int `json:"distinct"`
-	// Pruned counts executions that collapsed into an already-explored
-	// class and reused its detector verdict.
+	// Pruned counts executions whose class was already explored.
 	Pruned int `json:"pruned"`
 	// Steered counts steering decisions: perturbations whose planned
 	// delay targeted a conflicting event pair not yet ordered both ways
@@ -59,8 +58,7 @@ func NewClassSet() *ClassSet {
 
 // Observe classifies one completed execution by its fingerprint and
 // reports whether it is the first member of its class (the class
-// representative, whose detector pass must run). Repeats count as
-// pruned.
+// representative). Repeats count as pruned.
 func (cs *ClassSet) Observe(fp string) (idx int, first bool) {
 	cs.stats.Executions++
 	if i, ok := cs.index[fp]; ok {
@@ -74,8 +72,8 @@ func (cs *ClassSet) Observe(fp string) (idx int, first bool) {
 }
 
 // Degraded records an execution excluded from classification (an
-// interrupted run is partial and wall-clock-dependent, so it is always
-// analyzed and never reused as a representative).
+// interrupted run is partial and wall-clock-dependent, so it joins no
+// class).
 func (cs *ClassSet) Degraded() { cs.stats.Executions++ }
 
 // NotePair records one observed orientation of a conflicting event pair.

@@ -60,14 +60,12 @@ type Request struct {
 	// schedules, union of races) or "delay-one" (baseline plus one run
 	// per resource with that resource made pathologically slow).
 	Mode string `json:"mode,omitempty"`
-	// Prune enables HB-equivalence schedule pruning for /v1/sweep: every
-	// schedule still executes, but the detector pass runs once per
-	// canonical trace class and the response carries the class summary.
-	// The sweep's result bytes are byte-identical to the unpruned
-	// sweep's modulo the added classes field. Requires a
-	// trace-replayable detector (pairwise, accessset, pairwise-vc);
-	// combining it with predictive or sampled is a 400. Ignored by the
-	// other endpoints.
+	// Prune adds the HB-equivalence class summary to /v1/sweep's
+	// response: every schedule executes with its own detector pass as
+	// in the unpruned sweep, and is classified by its canonical trace
+	// class. The sweep's result bytes are byte-identical to the unpruned
+	// sweep's modulo the added classes field, for every detector.
+	// Ignored by the other endpoints.
 	Prune bool `json:"prune,omitempty"`
 	// Plans is /v1/faultsweep's number of derived fault plans (default 6).
 	Plans int `json:"plans,omitempty"`
@@ -254,13 +252,7 @@ func (s *Server) resolve(kind jobKind, req *Request) (*resolved, error) {
 		default:
 			return nil, fmt.Errorf("unknown sweep mode %q (want seeds or delay-one)", req.Mode)
 		}
-		if req.Prune {
-			switch cfg.Detector {
-			case webracer.DetectorPredictive, webracer.DetectorSampled:
-				return nil, fmt.Errorf("prune requires a trace-replayable detector (pairwise, accessset, pairwise-vc); got %q", cfg.Detector)
-			}
-			r.prune = true
-		}
+		r.prune = req.Prune
 	case kindFaultSweep:
 		r.plans = req.Plans
 		if r.plans < 1 {

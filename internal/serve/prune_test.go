@@ -100,15 +100,40 @@ func TestPrunedSweepDelayOne(t *testing.T) {
 	}
 }
 
-// TestPruneDetectorRejected: prune with a non-replayable detector is a
-// 400 at resolve time — nothing invalid is enqueued.
-func TestPruneDetectorRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+// TestPruneDetectorAccepted: prune is a report for every detector. A
+// pruned predictive or sampled sweep answers 200 with the unpruned
+// sweep's body apart from classes, and its classes are the pairwise
+// sweep's.
+func TestPruneDetectorAccepted(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	const spec = `{"spec":{"kind":"sched","index":0},"seeds":6`
+	sweep := func(extra string) SweepResponse {
+		t.Helper()
+		resp, b := post(t, ts, "/v1/sweep", spec+extra+`}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep%s: %d %s", extra, resp.StatusCode, b)
+		}
+		var r SweepResponse
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	pairwise := sweep(`,"prune":true`)
+	if pairwise.Classes == nil {
+		t.Fatal("pairwise pruned sweep has no classes summary")
+	}
 	for _, det := range []string{"predictive", "sampled"} {
-		resp, b := post(t, ts, "/v1/sweep",
-			`{"site":`+racySite+`,"prune":true,"detector":"`+det+`"}`)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("prune with %s: %d %s, want 400", det, resp.StatusCode, b)
+		plain := sweep(`,"detector":"` + det + `"`)
+		pr := sweep(`,"prune":true,"detector":"` + det + `"`)
+		if pr.Classes == nil || *pr.Classes != *pairwise.Classes {
+			t.Errorf("%s: classes %+v, want the pairwise sweep's %+v", det, pr.Classes, *pairwise.Classes)
+		}
+		pr.ID, pr.Classes = plain.ID, nil
+		prB, _ := json.Marshal(pr)
+		plB, _ := json.Marshal(plain)
+		if !bytes.Equal(prB, plB) {
+			t.Errorf("%s: pruned sweep differs:\npruned:   %s\nunpruned: %s", det, prB, plB)
 		}
 	}
 }

@@ -659,9 +659,7 @@ func (s *Server) executeSweep(r *resolved) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		if !r.prune { // the histogram has never counted pruned sweeps
-			s.hExecOps.Record(int64(sweep.Ops))
-		}
+		s.hExecOps.Record(int64(sweep.Ops))
 		resp.Seeds = r.seeds
 		resp.PerSeed = sweep.PerSeed
 		resp.Locations = sweep.Locations
@@ -916,10 +914,10 @@ type SweepResponse struct {
 	// delay-one mode, pruned or not. A degraded sweep is returned but
 	// never cached.
 	Degraded []string `json:"degraded,omitempty"`
-	// Classes is the pruning summary of a "prune": true sweep — how many
-	// executions ran, how many distinct trace classes they fell into, and
-	// how many detector passes pruning skipped. Absent on unpruned
-	// sweeps.
+	// Classes is the class summary of a "prune": true sweep — how many
+	// executions ran, how many distinct trace classes they fell into,
+	// and how many executions fell into a class already explored.
+	// Absent on unpruned sweeps.
 	Classes *webracer.ClassStats `json:"classes,omitempty"`
 }
 

@@ -31,21 +31,19 @@ type ParallelConfig struct {
 	// Progress, when non-nil, is updated live with per-worker
 	// completion counters and throughput (see Progress.Snapshot).
 	Progress *Progress
-	// Prune enables HB-equivalence schedule pruning for the seed and
-	// delay-one sweeps: every unit still executes (cheaply — trace
-	// recorded, live race checking off), each execution is classified
-	// by its trace-class fingerprint (per-location chain digests of
-	// the accesses and their HB orientations, internal/canon), and the
-	// detector pass runs once per distinct class; repeats reuse their
-	// class's verdict. The aggregate is byte-identical to the unpruned
-	// sweep at any worker count. Requires a trace-replayable detector —
-	// pairwise, accessset or pairwise-vc; the drivers return
-	// ErrPruneDetector otherwise. See DESIGN.md "Schedule pruning".
+	// Prune adds an HB-equivalence class report to the seed and
+	// delay-one sweeps: every unit runs as in the unpruned sweep, with
+	// its own detector pass and its access trace recorded, and each
+	// execution is classified by its trace-class fingerprint
+	// (per-location chain digests of the accesses and their HB
+	// orientations, internal/canon). The aggregate is the unpruned
+	// sweep's at any worker count and for every detector. See DESIGN.md
+	// "Schedule pruning".
 	Prune bool
 	// Classes, when non-nil with Prune set, receives the sweep's
-	// pruning summary (executions, distinct classes, pruned detector
-	// passes, steering decisions) — the same numbers the
-	// explore.classes.* counters export.
+	// class summary (executions, distinct classes, executions whose
+	// class was already explored, steering decisions) — the same
+	// numbers the explore.classes.* counters export.
 	Classes *ClassStats
 }
 
@@ -87,9 +85,9 @@ func RunCorpusParallel(n int, gen func(i int) *loader.Site, cfg Config, p Parall
 
 // RunSeedsParallel performs a seed sweep over the site: run i uses seed
 // cfg.Seed + i*7919, sharded over p.Workers and folded in seed order, so
-// the aggregate is identical at any worker count. With p.Prune set,
-// HB-equivalent seeds share one detector pass (see ParallelConfig.Prune)
-// and the aggregate is still byte-identical.
+// the aggregate is identical at any worker count. With p.Prune set, the
+// sweep also reports its HB-equivalence classes (see
+// ParallelConfig.Prune) and the aggregate is unchanged.
 func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*SeedSweep, error) {
 	seedOf := func(i int) int64 { return cfg.Seed + int64(i)*7919 }
 	sweep := &SeedSweep{Locations: map[string]int{}, Seeds: n}
@@ -99,7 +97,7 @@ func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*
 		unit:  func(i int, c *Config) { c.Seed = seedOf(i) },
 		label: func(i int) string { return fmt.Sprintf("seed %d", seedOf(i)) },
 	}, p, func(i int, run sweepRun) {
-		sweep.PerSeed = append(sweep.PerSeed, len(run.reports))
+		sweep.PerSeed = append(sweep.PerSeed, len(run.res.Reports))
 		sweep.Ops += run.res.Ops
 		for _, key := range run.locs {
 			sweep.Locations[key]++
@@ -115,10 +113,9 @@ func RunSeedsParallel(site *loader.Site, cfg Config, n int, p ParallelConfig) (*
 // reasons over happens-before rather than observed order, so most races
 // appear in the baseline; perturbations add races in code that only
 // *executes* under certain orderings (retry branches, readiness checks,
-// handlers attached by late code). With p.Prune set, perturbations that
-// land in an already-explored trace class skip their detector pass and
-// the sweep counts which perturbations steering would prioritize (see
-// ParallelConfig.Prune).
+// handlers attached by late code). With p.Prune set, the sweep also
+// reports its trace classes and counts which perturbations steering
+// would prioritize (see ParallelConfig.Prune).
 func ExploreSchedulesParallel(site *loader.Site, cfg Config, p ParallelConfig) (*ScheduleSweep, error) {
 	// Unit 0 is the baseline; unit i > 0 slows urls[i].
 	urls := append([]string{""}, resourceURLs(site)...)
@@ -154,7 +151,7 @@ func ExploreSchedulesParallel(site *loader.Site, cfg Config, p ParallelConfig) (
 			sweep.ByLocation[key] = append(sweep.ByLocation[key], by)
 			if !seenLoc[key] {
 				seenLoc[key] = true
-				sweep.Reports = append(sweep.Reports, run.reports[j])
+				sweep.Reports = append(sweep.Reports, run.res.Reports[j])
 			}
 		}
 	})

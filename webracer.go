@@ -830,5 +830,6 @@ func cutSuffixWord(s, suffix string) (string, bool) {
 // result must equal the graph-based reports (tests assert this); the bench
 // compares analysis time.
 func ReplayVC(res *Result) []race.Report {
-	return race.Replay(res.Browser.Trace(), replayDetector(Config{Detector: DetectorPairwiseVC}, res))
+	trace := res.Browser.Trace()
+	return race.Replay(trace, race.NewPairwise(hb.NewClocks(res.Browser.HB), race.LocHint(len(trace)/4)))
 }
