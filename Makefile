@@ -35,9 +35,11 @@ chaos:
 # corrupts 10% of the persisted store entries, and asserts byte-identical
 # results vs a healthy single node with zero 5xx and golden-pinned
 # retry/quarantine counters (internal/serve/testdata/golden/). The store
-# crash-recovery battery, the router/persistence tests, the request
-# memo's tests and FuzzServeKey seed corpus (a repeat answered from its
-# bytes must equal the decode path's answer), and the load replay (2000
+# crash-recovery battery, the router/persistence tests (the integrity
+# gate's answer digest and its GET /v1/jobs check among them), the
+# request memo's tests, store-backed memo included, and FuzzServeKey seed
+# corpus (a repeat answered from its bytes must equal the decode path's
+# answer), and the load replay (2000
 # concurrent requests through the router at backend workers 1 and 4,
 # every answer byte-identical to its cold bytes, endpoint and cache-level
 # counts pinned) ride along.

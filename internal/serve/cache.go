@@ -205,16 +205,18 @@ func (c *Cache) Bytes() int64 {
 	return c.size
 }
 
-// routeMemoCap bounds the router's request memo. The router holds no
-// result for a forwarded job, so its memo entries cannot live with one;
-// a fixed LRU of this many entries bounds them instead: about 320 bytes
-// each with the 64-byte key they name, about 330 KB full (DESIGN.md
-// "Service architecture").
+// routeMemoCap bounds the router's request memo and a store node's
+// store-backed memo. Neither holds the result an entry names (the router
+// holds none for a forwarded job; a store keeps its results on disk), so
+// entries cannot live with one; a fixed LRU of this many entries bounds
+// them instead (DESIGN.md "The request memo" gives its size).
 const routeMemoCap = 1024
 
-// routeMemo is the router's request memo: a fixed-capacity LRU from a
-// request's body key to the job key and async flag its bytes resolved
-// to, so a repeat is routed without a decode. Safe for concurrent use.
+// routeMemo is a fixed-capacity LRU from a request's body key to the job
+// key and async flag its bytes resolved to. The router routes a repeat by
+// it without a decode, and checks a repeated answer against the digest it
+// keeps; a store node (Server.stored) answers a repeat whose result left
+// the LRU by it. Safe for concurrent use.
 type routeMemo struct {
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used
@@ -223,9 +225,10 @@ type routeMemo struct {
 
 // routeEntry is one remembered request.
 type routeEntry struct {
-	bk    bodyKey
-	key   string
-	async bool
+	bk     bodyKey
+	key    string
+	async  bool
+	answer [sha256.Size]byte // SHA-256 of the last 200 body that passed the router's gate; zero if none
 }
 
 // newRouteMemo builds an empty router memo.
@@ -260,5 +263,25 @@ func (m *routeMemo) put(bk bodyKey, key string, async bool) {
 		back := m.ll.Back()
 		m.ll.Remove(back)
 		delete(m.items, back.Value.(*routeEntry).bk)
+	}
+}
+
+// answered reports whether sum is the digest remembered as bk's answer
+// (see noteAnswer).
+func (m *routeMemo) answered(bk bodyKey, sum [sha256.Size]byte) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.items[bk]
+	return ok && el.Value.(*routeEntry).answer == sum
+}
+
+// noteAnswer remembers sum, the digest of a 200 body that passed the
+// router's integrity gate for bk's key, as bk's answer. A forgotten bk
+// remembers nothing.
+func (m *routeMemo) noteAnswer(bk bodyKey, sum [sha256.Size]byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.items[bk]; ok {
+		el.Value.(*routeEntry).answer = sum
 	}
 }

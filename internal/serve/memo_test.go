@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -163,22 +165,20 @@ func TestMemoEquivalentBodySameKey(t *testing.T) {
 }
 
 // TestMemoEvictedResult: a remembered request whose result left the LRU
-// is forgotten with it, so its repeat decodes and is served as a store
-// hit, or re-run when the store is off, with identical bytes.
+// is forgotten by the LRU's memo with it. With a store, the store-backed
+// memo still remembers it, so its repeat is served as a store hit without
+// a decode; with the store off it decodes and is re-run. Both give
+// identical bytes.
 func TestMemoEvictedResult(t *testing.T) {
-	reqA := `{"spec":{"index":4},"seed":2}`
-	reqB := `{"spec":{"index":5},"seed":2}`
-	// An LRU that holds either result but not both.
-	_, ref := newTestServer(t, Config{Workers: 1})
-	ra, rb := postReply(t, ref, "/v1/detect", reqA), postReply(t, ref, "/v1/detect", reqB)
-	budget := max(cacheCost(ra), cacheCost(rb))
+	reqA, reqB := storeReqA, storeReqB
+	budget, ra := oneResultBudget(t)
 
 	for _, withStore := range []bool{true, false} {
 		t.Run(fmt.Sprintf("store=%v", withStore), func(t *testing.T) {
 			cfg := Config{Workers: 1, CacheBytes: budget}
-			want := "miss"
+			want, decodes := "miss", int64(3)
 			if withStore {
-				cfg.StoreDir, want = t.TempDir(), "store-hit"
+				cfg.StoreDir, want, decodes = t.TempDir(), "store-hit", 2
 			}
 			s, ts := newTestServer(t, cfg)
 			postReply(t, ts, "/v1/detect", reqA)
@@ -193,8 +193,8 @@ func TestMemoEvictedResult(t *testing.T) {
 				t.Fatalf("memo holds %d requests after the eviction, want 1 (B)", memoLen(s))
 			}
 			got := postReply(t, ts, "/v1/detect", reqA)
-			if got.cache != want || s.decodes.Load() != 3 {
-				t.Fatalf("after eviction: %q after %d decodes, want %q after 3", got.cache, s.decodes.Load(), want)
+			if got.cache != want || s.decodes.Load() != decodes {
+				t.Fatalf("after eviction: %q after %d decodes, want %q after %d", got.cache, s.decodes.Load(), want, decodes)
 			}
 			if got.code != 200 || got.job != ra.job || !bytes.Equal(got.body, ra.body) {
 				t.Fatal("evicted result came back with different bytes")
@@ -205,6 +205,221 @@ func TestMemoEvictedResult(t *testing.T) {
 
 // cacheCost is the LRU charge of one reply's result.
 func cacheCost(r memoReply) int64 { return int64(len(r.job)+len(r.body)) + entryOverhead }
+
+// storeReqA and storeReqB are the store-memo tests' two jobs; an LRU of
+// oneResultBudget holds either result but not both.
+const (
+	storeReqA = `{"spec":{"index":4},"seed":2}`
+	storeReqB = `{"spec":{"index":5},"seed":2}`
+)
+
+// oneResultBudget is an LRU budget that holds storeReqA's or storeReqB's
+// result but not both, and A's reply from a fresh node.
+func oneResultBudget(t *testing.T) (int64, memoReply) {
+	t.Helper()
+	_, ref := newTestServer(t, Config{Workers: 1})
+	ra, rb := postReply(t, ref, "/v1/detect", storeReqA), postReply(t, ref, "/v1/detect", storeReqB)
+	return max(cacheCost(ra), cacheCost(rb)), ra
+}
+
+// storedNode boots a store node whose LRU holds one result (cfg's other
+// fields kept), computes storeReqA and then storeReqB, and waits until
+// both are persisted and in the store memo. A's result is then in the
+// store only. It returns A's fresh-node reply.
+func storedNode(t *testing.T, cfg Config) (*Server, *httptest.Server, memoReply) {
+	t.Helper()
+	budget, ra := oneResultBudget(t)
+	cfg.Workers, cfg.CacheBytes, cfg.StoreDir = 1, budget, t.TempDir()
+	s, ts := newTestServer(t, cfg)
+	postReply(t, ts, "/v1/detect", storeReqA)
+	postReply(t, ts, "/v1/detect", storeReqB) // evicts A
+	waitUntil(t, func() bool { return storedLen(s) == 2 })
+	return s, ts, ra
+}
+
+// forgetStored empties s's store-backed memo.
+func forgetStored(s *Server) {
+	m := s.stored
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ll.Init()
+	m.items = map[bodyKey]*list.Element{}
+}
+
+// storedLen is the number of requests s's store-backed memo remembers.
+func storedLen(s *Server) int {
+	s.stored.mu.Lock()
+	defer s.stored.mu.Unlock()
+	return s.stored.ll.Len()
+}
+
+// cacheCounters is s's serve.cache.* and serve.store.* metrics.
+func cacheCounters(s *Server) map[string]int64 {
+	out := map[string]int64{}
+	for k, v := range s.Metrics().Snapshot() {
+		if strings.HasPrefix(k, "serve.cache.") || strings.HasPrefix(k, "serve.store.") {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// counterDelta is after minus before, name by name, with zero moves left
+// out; fmt prints it in name order.
+func counterDelta(before, after map[string]int64) map[string]int64 {
+	out := map[string]int64{}
+	for k, v := range after {
+		if d := v - before[k]; d != 0 {
+			out[k] = d
+		}
+	}
+	return out
+}
+
+// sameDelta fails t unless two counter moves agree.
+func sameDelta(t *testing.T, what string, a, b map[string]int64) {
+	t.Helper()
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("%s: counters moved differently:\n%v\n%v", what, a, b)
+	}
+}
+
+// corruptStored flips a byte in the middle of key's store entry.
+func corruptStored(t *testing.T, s *Server, key string) {
+	t.Helper()
+	path := filepath.Join(s.Store().Dir(), key)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMemoStoreSurvivesEviction: a request whose result is remembered in
+// the store memo keeps being answered without a decode however often the
+// LRU evicts its result, with the bytes a fresh node computes.
+func TestMemoStoreSurvivesEviction(t *testing.T) {
+	s, ts, ra := storedNode(t, Config{})
+	for i := 0; i < 3; i++ {
+		got := postReply(t, ts, "/v1/detect", storeReqA) // evicts B
+		if got.code != 200 || got.cache != "store-hit" || got.job != ra.job || !bytes.Equal(got.body, ra.body) {
+			t.Fatalf("round %d: %d %q job %s, want A's bytes as a store hit", i, got.code, got.cache, got.job)
+		}
+		if b := postReply(t, ts, "/v1/detect", storeReqB); b.cache != "store-hit" {
+			t.Fatalf("round %d: B answered %q, want store-hit", i, b.cache)
+		}
+		if s.decodes.Load() != 2 {
+			t.Fatalf("round %d: %d decodes, want 2 (the first submissions only)", i, s.decodes.Load())
+		}
+	}
+	if got := metric(t, ts, "serve.jobs.completed"); got != 2 {
+		t.Fatalf("serve.jobs.completed = %d, want 2: store hits never re-run", got)
+	}
+}
+
+// TestMemoStoreMatchesDecodePath: a store-memo answer equals the decode
+// path's answer for the same state in status, X-Webracer-Job,
+// X-Webracer-Cache, bytes, the revived job record and every serve.cache.*
+// and serve.store.* metric it moves.
+func TestMemoStoreMatchesDecodePath(t *testing.T) {
+	// One job record kept, so each answer for A must revive A's record.
+	s, ts, _ := storedNode(t, Config{JobHistory: 1})
+
+	c0, d0 := cacheCounters(s), s.decodes.Load()
+	viaMemo := postReply(t, ts, "/v1/detect", storeReqA)
+	c1, d1 := cacheCounters(s), s.decodes.Load()
+	_, stMemo := get(t, ts, "/v1/jobs/"+viaMemo.job)
+	if d1 != d0 || viaMemo.cache != "store-hit" {
+		t.Fatalf("store memo: %q after %d decodes, want a store hit after none", viaMemo.cache, d1-d0)
+	}
+
+	postReply(t, ts, "/v1/detect", storeReqB) // evicts A and prunes A's record, from the store memo
+	forget(s)
+	forgetStored(s)
+	c2 := cacheCounters(s)
+	viaDecode := postReply(t, ts, "/v1/detect", storeReqA)
+	c3 := cacheCounters(s)
+	_, stDecode := get(t, ts, "/v1/jobs/"+viaDecode.job)
+	if s.decodes.Load() != d1+1 {
+		t.Fatalf("decode path: %d decodes, want 1", s.decodes.Load()-d1)
+	}
+	sameReply(t, "store memo vs decode path", viaMemo, viaDecode)
+	sameDelta(t, "store memo vs decode path", counterDelta(c0, c1), counterDelta(c2, c3))
+	if !bytes.Equal(stMemo, stDecode) {
+		t.Fatalf("revived job records differ:\n%s\n%s", stMemo, stDecode)
+	}
+}
+
+// TestMemoStoreQuarantineFallsBack: when the store has lost a remembered
+// result (its entry is corrupt and gets quarantined), the store memo
+// falls back to the decode and re-runs the job, exactly as the decode path
+// does for the same state.
+func TestMemoStoreQuarantineFallsBack(t *testing.T) {
+	s, ts, ra := storedNode(t, Config{})
+
+	corruptStored(t, s, ra.job)
+	c0, d0 := cacheCounters(s), s.decodes.Load()
+	viaMemo := postReply(t, ts, "/v1/detect", storeReqA)
+	waitUntil(t, func() bool { return metricQuiet(ts, "serve.store.puts") == 3 })
+	c1 := cacheCounters(s)
+	if viaMemo.code != 200 || viaMemo.cache != "miss" || !bytes.Equal(viaMemo.body, ra.body) {
+		t.Fatalf("after quarantine: %d %q, want a re-run with A's bytes", viaMemo.code, viaMemo.cache)
+	}
+	if s.decodes.Load() != d0+1 || c1["serve.store.quarantined"] != 1 {
+		t.Fatalf("%d decodes, %d quarantined, want 1 and 1", s.decodes.Load()-d0, c1["serve.store.quarantined"])
+	}
+
+	postReply(t, ts, "/v1/detect", storeReqB) // evicts A again
+	corruptStored(t, s, ra.job)
+	forget(s)
+	forgetStored(s)
+	c2 := cacheCounters(s)
+	viaDecode := postReply(t, ts, "/v1/detect", storeReqA)
+	waitUntil(t, func() bool { return metricQuiet(ts, "serve.store.puts") == 4 })
+	c3 := cacheCounters(s)
+	sameReply(t, "quarantine: store memo vs decode path", viaMemo, viaDecode)
+	sameDelta(t, "quarantine: store memo vs decode path", counterDelta(c0, c1), counterDelta(c2, c3))
+}
+
+// TestMemoStoreOffWithoutStoreDir: a node without a store keeps no
+// store memo, whatever it serves.
+func TestMemoStoreOffWithoutStoreDir(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1})
+	for i := 0; i < 2; i++ {
+		if r := postReply(t, ts, "/v1/detect", storeReqA); r.code != 200 || r.cache != "miss" {
+			t.Fatalf("%d %q, want a re-run (nothing is cached)", r.code, r.cache)
+		}
+	}
+	if s.stored != nil {
+		t.Fatal("a node without StoreDir has a store memo")
+	}
+}
+
+// TestMemoStoreBounded: the store memo holds at most routeMemoCap
+// requests, forgetting the least recently used first.
+func TestMemoStoreBounded(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, StoreDir: t.TempDir()})
+	bk := func(i int) bodyKey { return newBodyKey(kindDetect, []byte(fmt.Sprint(i))) }
+	for i := 0; i < routeMemoCap+10; i++ {
+		s.rememberStored(bk(i), fmt.Sprint("k", i))
+		if n := storedLen(s); n > routeMemoCap {
+			t.Fatalf("store memo holds %d requests, cap %d", n, routeMemoCap)
+		}
+	}
+	if _, _, ok := s.stored.get(bk(9)); ok {
+		t.Fatal("the least recently used request survived past the cap")
+	}
+	if key, _, ok := s.stored.get(bk(routeMemoCap + 9)); !ok || key != fmt.Sprint("k", routeMemoCap+9) {
+		t.Fatal("the latest request was not remembered")
+	}
+	s.rememberStored(bodyKey{}, "k") // a request resolved without its bytes
+	if _, _, ok := s.stored.get(bodyKey{}); ok {
+		t.Fatal("a zero body key was remembered")
+	}
+}
 
 // TestMemoDrainingAnswers503: a draining server answers a remembered
 // request exactly as it answers any other: 503 with the job's key.
@@ -332,7 +547,9 @@ func TestMemoRouterLocalFallback(t *testing.T) {
 // TestMemoConcurrentRepeats: clients repeating a few bodies at once,
 // through a router whose one backend's LRU holds a single result (so
 // results and their memo entries are evicted while others recall them),
-// all get the bytes a fresh node computes. Run it under -race.
+// all get the bytes a fresh node computes — with and without a store, so
+// the store-backed memo and the router's answer digests are read and
+// written from several requests at once too. Run it under -race.
 func TestMemoConcurrentRepeats(t *testing.T) {
 	bodies := []string{detectReq(1, 3), detectReq(2, 3), detectReq(3, 3)}
 	_, ref := newTestServer(t, Config{Workers: 2})
@@ -343,33 +560,41 @@ func TestMemoConcurrentRepeats(t *testing.T) {
 		want[i] = r.body
 		budget = max(budget, cacheCost(r))
 	}
-	c := newCluster(t, 1, Config{Workers: 2, CacheBytes: budget}, RouterConfig{})
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for n := 0; n < 12; n++ {
-				i := (g + n) % len(bodies)
-				ts := c.rts
-				if n%2 == 1 {
-					ts = c.tss[0] // the backend directly, too
-				}
-				resp, err := http.Post(ts.URL+"/v1/detect", "application/json", strings.NewReader(bodies[i]))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != 200 || !bytes.Equal(got, want[i]) {
-					t.Errorf("client %d body %d: %d %v: bytes differ from a fresh node", g, i, resp.StatusCode, err)
-					return
-				}
+	for _, withStore := range []bool{false, true} {
+		t.Run(fmt.Sprintf("store=%v", withStore), func(t *testing.T) {
+			cfg := Config{Workers: 2, CacheBytes: budget}
+			if withStore {
+				cfg.StoreDir = t.TempDir()
 			}
-		}(g)
+			c := newCluster(t, 1, cfg, RouterConfig{})
+			var wg sync.WaitGroup
+			for g := 0; g < 6; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for n := 0; n < 12; n++ {
+						i := (g + n) % len(bodies)
+						ts := c.rts
+						if n%2 == 1 {
+							ts = c.tss[0] // the backend directly, too
+						}
+						resp, err := http.Post(ts.URL+"/v1/detect", "application/json", strings.NewReader(bodies[i]))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got, err := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if err != nil || resp.StatusCode != 200 || !bytes.Equal(got, want[i]) {
+							t.Errorf("client %d body %d: %d %v: bytes differ from a fresh node", g, i, resp.StatusCode, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 // TestMemoCacheDiesWithResult: a server memo entry lives exactly as long
@@ -457,6 +682,8 @@ var fuzzKinds = []jobKind{kindDetect, kindSweep, kindFaultSweep}
 //     for a cached result, bytes; an async first answer is the 202, so its
 //     repeat is compared once the job is done);
 //   - a memo-served reply equals the decode path's reply for the same state;
+//   - on a store node whose LRU holds nothing, a reply from the
+//     store-backed memo equals the decode path's reply, counters included;
 //   - a body that resolves keeps its key after a JSON round trip through
 //     Request;
 //   - the same bytes sent to another endpoint are decoded there, never
@@ -523,6 +750,9 @@ func FuzzServeKey(f *testing.F) {
 		} else if decoded.code != second.code || decoded.job != second.job {
 			t.Fatalf("decode path: %d job %q, memo path: %d job %q", decoded.code, decoded.job, second.code, second.job)
 		}
+		if cached {
+			storeMemoArm(t, kind, body)
+		}
 
 		if first.code != http.StatusOK && first.code != http.StatusAccepted {
 			return
@@ -546,6 +776,44 @@ func FuzzServeKey(f *testing.F) {
 			t.Fatalf("/v1/%s and /v1/%s share job %s", kind, other, o.job)
 		}
 	})
+}
+
+// storeMemoArm is FuzzServeKey's store-backed arm: on a store node whose
+// LRU holds nothing (every result leaves it at once), body's job runs
+// once; then a repeat answered from the store memo must equal the decode
+// path's answer for the same state, with the same serve.cache.* and
+// serve.store.* moves and no decode. A run the wall budget cut short, or
+// one that failed, is never stored, so it is skipped.
+func storeMemoArm(t *testing.T, kind jobKind, body []byte) {
+	s := NewServer(Config{Workers: 1, MaxBodyBytes: 16 << 10, CacheBytes: 1, StoreDir: t.TempDir(),
+		DefaultTimeout: 5 * time.Second, MaxTimeout: 5 * time.Second})
+	defer s.Close()
+	h, path := s.Handler(), "/v1/"+string(kind)
+	first := serveReply(h, path, body)
+	settle(s, first.job)
+	if s.cInterrupted.Value() != 0 || s.cFailed.Value() != 0 {
+		return
+	}
+	bk := newBodyKey(kind, body)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, ok := s.stored.get(bk); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the result of %s was never stored (%d)", first.job, first.code)
+		}
+	}
+
+	c0, d0 := cacheCounters(s), s.decodes.Load()
+	viaMemo := serveReply(h, path, body)
+	c1 := cacheCounters(s)
+	if s.decodes.Load() != d0 || viaMemo.cache != "store-hit" {
+		t.Fatalf("store memo: %d %q after %d decodes, want a store hit after none", viaMemo.code, viaMemo.cache, s.decodes.Load()-d0)
+	}
+	forgetStored(s)
+	viaDecode := serveReply(h, path, body)
+	sameReply(t, "store memo vs decode path", viaMemo, viaDecode)
+	sameDelta(t, "store memo vs decode path", counterDelta(c0, c1), counterDelta(c1, cacheCounters(s)))
 }
 
 // fuzzKindIndex is the index of an endpoint name in fuzzKinds.

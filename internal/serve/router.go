@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"webracer/internal/obs"
@@ -132,7 +134,7 @@ type Router struct {
 	mu      sync.Mutex
 	flights map[string]*flight
 
-	memo *routeMemo // request bytes → the key and async flag they resolve to
+	memo *routeMemo // request bytes → their key and async flag, and their last validated answer's digest
 
 	healthStop chan struct{}
 	healthWG   sync.WaitGroup
@@ -142,6 +144,11 @@ type Router struct {
 	cBreakerSkips, cBreakerOpened, cRouterHits *obs.Counter
 	gHealthy                                   *obs.Gauge
 	hAttempts                                  *obs.Histogram // step-unit attempts per routed dispatch
+
+	// validations counts bodies put through the full integrity gate
+	// (answersFor) — a test hook for telling digest-checked repeats from
+	// parsed answers.
+	validations atomic.Int64
 }
 
 // ringPoint is one virtual node: a hash position owned by a backend.
@@ -423,7 +430,7 @@ func (rt *Router) dispatch(q *routedReq, reqID string) (code int, cacheH, backen
 			rt.backoff(q.key, attempt)
 		}
 		attempts++
-		res, retryable, err := rt.forwardOnce(b, "/v1/"+string(q.bk.kind), q.key, q.raw, attempt, reqID)
+		res, retryable, err := rt.forwardOnce(b, q, attempt, reqID)
 		if err == nil {
 			rt.breakerResult(b, true)
 			if attempt > 0 {
@@ -458,14 +465,15 @@ type forwardResult struct {
 	body   []byte
 }
 
-// forwardOnce issues one forward attempt against b, applying the chaos
-// plan's decision for (backend, key, attempt) first, and validating any
-// 2xx body against the key it must answer for. The error return means
+// forwardOnce issues one forward attempt of q against b, applying the
+// chaos plan's decision for (backend, key, attempt) first, and validating
+// any 2xx body against the key it must answer for. The error return means
 // "this attempt did not produce a servable response"; retryable says
 // whether another backend could do better (transport faults, 5xx, 429,
 // corruption — yes; a 4xx verdict — no).
-func (rt *Router) forwardOnce(b *backendState, path, key string, raw []byte, attempt int, reqID string) (forwardResult, bool, error) {
+func (rt *Router) forwardOnce(b *backendState, q *routedReq, attempt int, reqID string) (forwardResult, bool, error) {
 	rt.cForwarded.Inc()
+	key := q.key
 	chaos := rt.cfg.Chaos.decide(b.name, key, attempt)
 	switch chaos {
 	case ChaosKill:
@@ -476,7 +484,7 @@ func (rt *Router) forwardOnce(b *backendState, path, key string, raw []byte, att
 
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.RequestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(raw))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/"+string(q.bk.kind), bytes.NewReader(q.raw))
 	if err != nil {
 		return forwardResult{}, true, err
 	}
@@ -505,7 +513,7 @@ func (rt *Router) forwardOnce(b *backendState, path, key string, raw []byte, att
 		// key this router computed. A backend that disagrees (corrupt
 		// bytes, or a node booted with different resolution flags) is
 		// treated as a failed attempt, never relayed.
-		if !answersFor(body, key) {
+		if !rt.accepts(q, resp.StatusCode, body) {
 			rt.cCorrupt.Inc()
 			return forwardResult{}, true, fmt.Errorf("%s returned a corrupt response for %s", b.name, key[:8])
 		}
@@ -520,6 +528,34 @@ func (rt *Router) forwardOnce(b *backendState, path, key string, raw []byte, att
 		return forwardResult{code: resp.StatusCode, body: body}, false,
 			fmt.Errorf("%s answered %d", b.name, resp.StatusCode)
 	}
+}
+
+// accepts is the integrity gate for a 2xx answer to q. A 200 body whose
+// SHA-256 is the one remembered as q's answer is the very bytes that
+// passed the gate for q's key before, so it is accepted without a parse.
+// Any other body takes the full gate (answersFor), and a 200 that passes
+// is remembered as q's answer. A 202 body is a job status, which changes
+// as the job runs, so it always takes the full gate and is never
+// remembered.
+func (rt *Router) accepts(q *routedReq, code int, body []byte) bool {
+	if code != http.StatusOK {
+		return rt.gate(body, q.key)
+	}
+	sum := sha256.Sum256(body)
+	if rt.memo.answered(q.bk, sum) {
+		return true
+	}
+	if !rt.gate(body, q.key) {
+		return false
+	}
+	rt.memo.noteAnswer(q.bk, sum)
+	return true
+}
+
+// gate runs the full integrity gate, answersFor, counting it.
+func (rt *Router) gate(body []byte, key string) bool {
+	rt.validations.Add(1)
+	return answersFor(body, key)
 }
 
 // answersFor reports whether body is a JSON object whose first member is
@@ -687,7 +723,9 @@ func (rt *Router) probe(b *backendState) bool {
 // store first (ids are content-addressed, so any node's copy is the
 // truth), then the id's backends in ring order, then the local job
 // table. The same absorb-don't-surface policy as POSTs: a dead backend
-// costs a failover, not an error.
+// costs a failover, not an error, and a 2xx body must pass the same
+// integrity gate (a JobStatus leads with its id), or it counts as
+// corrupt and the next backend is asked.
 func (rt *Router) handleJob(w http.ResponseWriter, hr *http.Request) {
 	id := hr.PathValue("id")
 	if body, ok := rt.local.cache.Get(id); ok {
@@ -728,6 +766,10 @@ func (rt *Router) handleJob(w http.ResponseWriter, hr *http.Request) {
 		body, rerr := readBody(resp.Body, resp.ContentLength, rt.local.cfg.MaxBodyBytes)
 		resp.Body.Close()
 		cancel()
+		if rerr == nil && resp.StatusCode/100 == 2 && !rt.gate(body, id) {
+			rt.cCorrupt.Inc()
+			rerr = fmt.Errorf("%s returned a corrupt job status for %s", b.name, id)
+		}
 		if rerr != nil || resp.StatusCode >= 500 {
 			rt.breakerResult(b, false)
 			rt.cRetries.Inc()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -401,5 +402,152 @@ func TestRouterSharedStoreServesLocally(t *testing.T) {
 	}
 	if fw := metricQuiet(rts, "serve.router.forwarded"); fw != 0 {
 		t.Fatalf("warm key was forwarded %d times", fw)
+	}
+}
+
+// TestRouterGateRepeatSkipsParse: the router parses a backend's first 200
+// answer for a request in full; a repeat answered with the same bytes is
+// checked by its digest alone. Other requests still get the full gate.
+func TestRouterGateRepeatSkipsParse(t *testing.T) {
+	c := newCluster(t, 1, Config{Workers: 1}, RouterConfig{})
+	first := postReply(t, c.rts, "/v1/detect", detectReq(2, 5))
+	if first.code != 200 || c.router.validations.Load() != 1 {
+		t.Fatalf("first: %d after %d validations, want 200 after 1", first.code, c.router.validations.Load())
+	}
+	for i := 0; i < 3; i++ {
+		again := postReply(t, c.rts, "/v1/detect", detectReq(2, 5))
+		if again.cache != "hit" || !bytes.Equal(again.body, first.body) || c.router.validations.Load() != 1 {
+			t.Fatalf("repeat %d: %q after %d validations, want the same bytes after 1", i, again.cache, c.router.validations.Load())
+		}
+	}
+	postReply(t, c.rts, "/v1/detect", detectReq(3, 5))
+	if c.router.validations.Load() != 2 {
+		t.Fatalf("another request: %d validations, want 2", c.router.validations.Load())
+	}
+}
+
+// TestRouterGateCorruptAfterValidated: once a request's answer is
+// remembered, a corrupted copy of it has another digest, so it takes the
+// full gate, is rejected and retried on the next backend, whose answer
+// (the same bytes) passes by digest.
+func TestRouterGateCorruptAfterValidated(t *testing.T) {
+	c := newCluster(t, 2, Config{Workers: 1}, RouterConfig{BreakerFailures: -1})
+	req := detectReq(2, 5)
+	first := postReply(t, c.rts, "/v1/detect", req)
+	if first.code != 200 || c.router.validations.Load() != 1 {
+		t.Fatalf("first: %d after %d validations", first.code, c.router.validations.Load())
+	}
+	// A plan that corrupts the owner's first attempt and spares the
+	// second backend's.
+	cands := c.router.candidates(first.job)
+	var plan *ChaosPlan
+	for seed := int64(0); plan == nil; seed++ {
+		p := &ChaosPlan{Seed: seed, CorruptProb: 0.5}
+		if p.decide(cands[0].name, first.job, 0) == ChaosCorrupt && p.decide(cands[1].name, first.job, 1) == ChaosNone {
+			plan = p
+		}
+	}
+	c.router.cfg.Chaos = plan
+
+	resp, body := post(t, c.rts, "/v1/detect", req)
+	if resp.StatusCode != 200 || !bytes.Equal(body, first.body) || resp.Header.Get(HeaderBackend) != cands[1].name {
+		t.Fatalf("under corruption: %d from %q, want the first bytes from %s",
+			resp.StatusCode, resp.Header.Get(HeaderBackend), cands[1].name)
+	}
+	if got := metric(t, c.rts, "serve.router.corrupt"); got != 1 {
+		t.Fatalf("serve.router.corrupt = %d, want 1", got)
+	}
+	if got := metric(t, c.rts, "serve.router.failover"); got != 1 {
+		t.Fatalf("serve.router.failover = %d, want 1", got)
+	}
+	if got := c.router.validations.Load(); got != 2 {
+		t.Fatalf("%d validations, want 2: the corrupt body parsed, the retry's bytes matched the digest", got)
+	}
+}
+
+// TestRouterGate202AlwaysValidated: a 202 job status changes as its job
+// runs, so every one takes the full gate and none becomes a request's
+// remembered answer; the first 200 for the same bytes is parsed too.
+func TestRouterGate202AlwaysValidated(t *testing.T) {
+	c := newCluster(t, 1, Config{Workers: 1}, RouterConfig{})
+	backend := c.backends[0]
+	release := make(chan struct{})
+	backend.mu.Lock()
+	backend.jobGate = func(jobKind, string) { <-release }
+	backend.mu.Unlock()
+	async := `{"spec":{"kind":"corpus","index":7},"seed":4,"async":true}`
+
+	for i := 1; i <= 2; i++ {
+		if r := postReply(t, c.rts, "/v1/detect", async); r.code != 202 {
+			t.Fatalf("async %d: %d %s", i, r.code, r.body)
+		}
+		if got := c.router.validations.Load(); got != int64(i) {
+			t.Fatalf("after %d 202 answers: %d validations", i, got)
+		}
+	}
+	close(release)
+	waitUntil(t, func() bool { return metricQuiet(c.tss[0], "serve.jobs.completed") == 1 })
+	for i, want := range []int64{3, 3} {
+		if r := postReply(t, c.rts, "/v1/detect", async); r.code != 200 {
+			t.Fatalf("async once done, %d: %d %s", i, r.code, r.body)
+		}
+		if got := c.router.validations.Load(); got != want {
+			t.Fatalf("async once done, %d: %d validations, want %d", i, got, want)
+		}
+	}
+}
+
+// TestRouterJobStatusGate: the router's GET /v1/jobs/{id} puts a
+// backend's 2xx body through the integrity gate. Broken JSON or another
+// job's status counts as corrupt and the next backend is asked; when none
+// answers soundly, the router's own job table does (404 here).
+func TestRouterJobStatusGate(t *testing.T) {
+	stub := func(body string) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	routerFor := func(tss ...*httptest.Server) (*Router, *httptest.Server) {
+		var urls []string
+		for _, ts := range tss {
+			urls = append(urls, ts.URL)
+		}
+		local := NewServer(Config{Workers: 1})
+		rt := NewRouter(local, RouterConfig{Backends: urls, BackendNames: names(len(tss)), BreakerFailures: -1})
+		rts := httptest.NewServer(rt.Handler())
+		t.Cleanup(func() { rts.Close(); rt.Close(); local.Close() })
+		return rt, rts
+	}
+	// An id whose ring owner is b0 of two backends.
+	probe, _ := routerFor(stub(""), stub(""))
+	var id string
+	for i := 0; id == ""; i++ {
+		if k := fmt.Sprintf("%064x", i); probe.candidates(k)[0].name == "b0" {
+			id = k
+		}
+	}
+	good := `{"id":"` + id + `","kind":"detect","status":"done","result":{"id":"` + id + `"}}`
+	for _, bad := range []struct{ name, body string }{
+		{"broken", `{"id":"` + id + `","status":"do`},
+		{"foreign", `{"id":"` + strings.Repeat("0", 64) + `","kind":"detect","status":"done"}`},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			rt, rts := routerFor(stub(bad.body), stub(good))
+			resp, body := get(t, rts, "/v1/jobs/"+id)
+			if resp.StatusCode != 200 || string(body) != good {
+				t.Fatalf("bad owner, good successor: %d %s", resp.StatusCode, body)
+			}
+			if got := metric(t, rts, "serve.router.corrupt"); got != 1 || rt.validations.Load() != 2 {
+				t.Fatalf("serve.router.corrupt = %d after %d validations, want 1 after 2", got, rt.validations.Load())
+			}
+
+			_, rts = routerFor(stub(bad.body), stub(bad.body))
+			if resp, body := get(t, rts, "/v1/jobs/"+id); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("no sound backend: %d %s, want the local 404", resp.StatusCode, body)
+			}
+		})
 	}
 }

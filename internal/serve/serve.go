@@ -15,9 +15,11 @@
 //
 //	POST /v1/{detect,sweep,faultsweep}
 //	  → bytes remembered?    → 200 with cached bytes   (X-Webracer-Cache: hit)
+//	  → bytes remembered for a stored result? → its key, without the two steps below
 //	  → resolve (normalize inputs, 400 on bad requests)
 //	  → key (SHA-256 over canonical inputs)
 //	  → cache hit?           → 200 with cached bytes   (X-Webracer-Cache: hit)
+//	  → store hit?           → 200 with stored bytes   (X-Webracer-Cache: store-hit)
 //	  → same key in flight?  → attach to that job      (X-Webracer-Cache: coalesced)
 //	  → queue full?          → 429 + Retry-After
 //	  → enqueue              → run → cache → respond   (X-Webracer-Cache: miss)
@@ -142,6 +144,10 @@ type Server struct {
 	metrics *obs.Metrics
 	cache   *Cache
 	store   *store.Store // nil when persistence is disabled
+	// stored is the store-backed request memo: request bytes → the key of
+	// a result in the store, so a repeat whose result left the LRU is
+	// answered without a decode. Nil when persistence is disabled.
+	stored  *routeMemo
 	runner  *pool.Runner
 	workers int // effective worker count (cfg.Workers resolved)
 	mux     *http.ServeMux
@@ -230,6 +236,7 @@ func NewServer(cfg Config) *Server {
 			panic(fmt.Sprintf("serve: %v", err))
 		}
 		s.store = st
+		s.stored = newRouteMemo()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/detect", s.post(kindDetect))
@@ -276,8 +283,8 @@ func (s *Server) Close() { _ = s.Drain(context.Background()) }
 
 // post builds the handler shared by the three submission endpoints. A
 // request whose exact bytes were answered before, and whose result is
-// still cached, is answered from the memo without a decode; any other
-// request is decoded, resolved and submitted.
+// still cached or stored, is answered from a memo without a decode; any
+// other request is decoded, resolved and submitted.
 func (s *Server) post(kind jobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, hr *http.Request) {
 		raw, ok := readRequest(w, hr, s.cfg.MaxBodyBytes)
@@ -285,7 +292,7 @@ func (s *Server) post(kind jobKind) http.HandlerFunc {
 			return
 		}
 		bk := newBodyKey(kind, raw)
-		if s.recall(w, bk) {
+		if s.recall(w, bk) || s.recallStored(w, hr, bk, raw) {
 			return
 		}
 		r, err := s.resolveBody(bk, raw)
@@ -314,6 +321,45 @@ func (s *Server) recall(w http.ResponseWriter, bk bodyKey) bool {
 	}
 	s.answerCachedLocked(w, bk.kind, key, "hit", body)
 	return true
+}
+
+// recallStored answers a request the LRU's memo no longer remembers when
+// its bytes are remembered for a result in the store: it looks the
+// remembered key up exactly as the decode path does (answerKnown), without
+// decoding. Only when the cache and the store have both lost the result
+// does it decode the bytes, to run the job. It reports whether it
+// answered.
+func (s *Server) recallStored(w http.ResponseWriter, hr *http.Request, bk bodyKey, raw []byte) bool {
+	if s.stored == nil {
+		return false
+	}
+	key, _, ok := s.stored.get(bk)
+	if !ok {
+		return false
+	}
+	if s.answerKnown(w, bk.kind, key, bk) {
+		return true
+	}
+	s.mu.Unlock()
+	r, err := s.resolveBody(bk, raw)
+	if err != nil {
+		// Unreachable: these bytes resolved under this config before.
+		writeError(w, http.StatusBadRequest, err.Error())
+		return true
+	}
+	s.mu.Lock()
+	s.admitLocked(w, hr, r)
+	return true
+}
+
+// rememberStored records that the request bk resolved to key, whose
+// result is in the store; the caller has a store. A cached answer is a
+// 200 whatever the request's async flag, so the store memo keeps none. A
+// zero bk — a request resolved without its bytes — is never remembered.
+func (s *Server) rememberStored(bk bodyKey, key string) {
+	if bk.kind != "" {
+		s.stored.put(bk, key, false)
+	}
 }
 
 // answerCachedLocked answers a request from a cached result: it revives
@@ -401,40 +447,58 @@ func readBody(r io.Reader, n, max int64) ([]byte, error) {
 	}
 }
 
-// submit routes a resolved request: cache hit, coalesce onto an in-flight
-// job, or admit a new job (429 when the queue refuses).
+// submit routes a resolved request: cache or store hit, coalesce onto an
+// in-flight job, or admit a new job (429 when the queue refuses).
 func (s *Server) submit(w http.ResponseWriter, hr *http.Request, r *resolved) {
-	w.Header().Set(HeaderJob, r.key)
+	if !s.answerKnown(w, r.kind, r.key, r.bk) {
+		s.admitLocked(w, hr, r)
+	}
+}
+
+// answerKnown answers the request bk, which resolved to key, when its
+// result is known: 503 while draining, else a cache hit, else a store
+// hit, each remembered for bk. It reports whether it answered; when it
+// did not, it returns holding s.mu, having written only the job header.
+func (s *Server) answerKnown(w http.ResponseWriter, kind jobKind, key string, bk bodyKey) bool {
+	w.Header().Set(HeaderJob, key)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
+		return true
 	}
-	if body, ok := s.cache.Get(r.key); ok {
-		s.cache.remember(r.bk, r.key)
-		s.answerCachedLocked(w, r.kind, r.key, "hit", body)
-		return
+	if body, ok := s.cache.Get(key); ok {
+		s.cache.remember(bk, key)
+		s.answerCachedLocked(w, kind, key, "hit", body)
+		return true
 	}
-	if s.store != nil {
-		// Second cache level: the persistent store. The disk read happens
-		// outside the server lock; if an identical job slipped in
-		// meanwhile, the bytes are identical by contract and revive is a
-		// no-op.
+	if s.store == nil {
+		return false
+	}
+	// Second cache level: the persistent store. The disk read happens
+	// outside the server lock; if an identical job slipped in meanwhile,
+	// the bytes are identical by contract and revive is a no-op.
+	s.mu.Unlock()
+	body, ok := s.store.Get(key)
+	s.mu.Lock()
+	if !ok {
+		return false
+	}
+	s.cache.Put(key, body)
+	s.cache.remember(bk, key)
+	s.rememberStored(bk, key)
+	s.answerCachedLocked(w, kind, key, "store-hit", body)
+	return true
+}
+
+// admitLocked coalesces a request whose result is not known onto its
+// in-flight job, or admits a new job (429 when the queue refuses, 503
+// while draining). The caller holds s.mu; admitLocked releases it.
+func (s *Server) admitLocked(w http.ResponseWriter, hr *http.Request, r *resolved) {
+	if s.draining {
 		s.mu.Unlock()
-		body, ok := s.store.Get(r.key)
-		s.mu.Lock()
-		if ok {
-			s.cache.Put(r.key, body)
-			s.cache.remember(r.bk, r.key)
-			s.answerCachedLocked(w, r.kind, r.key, "store-hit", body)
-			return
-		}
-		if s.draining {
-			s.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
+		writeError(w, http.StatusServiceUnavailable, "draining")
+		return
 	}
 	if j, ok := s.jobs[r.key]; ok && !j.finishedState() {
 		s.cCoalesced.Inc()
@@ -559,11 +623,13 @@ func (s *Server) runJob(j *job, r *resolved) {
 	s.pruneHistoryLocked()
 	close(j.done)
 	s.mu.Unlock()
-	if err == nil && cacheable {
+	if err == nil && cacheable && s.store != nil {
 		// Persist outside the server lock — an fsync must not stall
 		// admissions. Best-effort: a failed write costs a recomputation
 		// after restart, never correctness (serve.store.errors counts it).
-		_ = s.store.Put(j.id, body)
+		if s.store.Put(j.id, body) == nil {
+			s.rememberStored(r.bk, j.id)
+		}
 	}
 }
 
