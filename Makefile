@@ -12,9 +12,13 @@ build:
 	go build ./...
 
 # gofmt gate: any unformatted file fails vet (and so test and all).
+# perfbench is its own module, so `./...` at the root neither builds nor
+# vets it; it calls the exported serve and store API, so it is built and
+# vetted here too.
 vet:
 	go vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
+	cd perfbench && go build ./... && go vet ./...
 
 # -race: the detector hunts web races while racing its own sharded
 # sweeps; the engine must be race-clean under the Go race detector.
@@ -37,14 +41,18 @@ chaos:
 # retry/quarantine counters (internal/serve/testdata/golden/). The store
 # crash-recovery battery, the router/persistence tests (the integrity
 # gate's answer digest and its GET /v1/jobs check among them), the
-# request memo's tests, store-backed memo included, and FuzzServeKey seed
+# request memo's tests, store-backed memo included, the FuzzServeKey seed
 # corpus (a repeat answered from its bytes must equal the decode path's
-# answer), and the load replay (2000
+# answer; two bodies with one key must run to the same bytes), the job
+# poll tests (TestJobAnswer*: the topology differential replaying one
+# request sequence against a node, a store node, its restart and routers
+# over 1 and 3 backends with and without chaos, every body a fresh
+# node's; the job-history heap bound), and the load replay (2000
 # concurrent requests through the router at backend workers 1 and 4,
 # every answer byte-identical to its cold bytes, endpoint and cache-level
 # counts pinned) ride along.
 cluster:
-	go test -race -run 'TestChaos|TestRouter|TestStore|TestRequestBodyLimit|TestRetryAfter|TestMemo|FuzzServeKey|TestClusterLoadByteIdentical' ./internal/serve/
+	go test -race -run 'TestChaos|TestRouter|TestStore|TestRequestBodyLimit|TestRetryAfter|TestMemo|FuzzServeKey|TestJobAnswer|TestClusterLoadByteIdentical' ./internal/serve/
 	go test -race ./internal/store/
 
 # Predictive-detection battery under the Go race detector: the
@@ -113,7 +121,7 @@ linkcheck:
 	go run ./scripts/checklinks
 
 # Where `make bench` writes its machine-readable summary.
-BENCH_OUT ?= BENCH_pr7.json
+BENCH_OUT ?= BENCH_detectors.json
 
 # The detector/replay benchmarks (the E4 graph and epoch arms, the E11
 # sampled-tier arms and the per-run floor), repeated BENCH_COUNT times so

@@ -106,7 +106,7 @@ func TestMemoRepeatSkipsDecode(t *testing.T) {
 	if got := metric(t, ts, "serve.cache.hits"); got != 2 {
 		t.Fatalf("serve.cache.hits = %d, want 2 (a memo hit counts as a cache hit)", got)
 	}
-	// The revived job record answers polls as it did before.
+	// A poll finds the result where the memo hit found it.
 	_, st := get(t, ts, "/v1/jobs/"+first.job)
 	var js JobStatus
 	if err := json.Unmarshal(st, &js); err != nil || js.Status != "done" || js.ID != first.job {
@@ -322,10 +322,10 @@ func TestMemoStoreSurvivesEviction(t *testing.T) {
 
 // TestMemoStoreMatchesDecodePath: a store-memo answer equals the decode
 // path's answer for the same state in status, X-Webracer-Job,
-// X-Webracer-Cache, bytes, the revived job record and every serve.cache.*
+// X-Webracer-Cache, bytes, the job's poll answer and every serve.cache.*
 // and serve.store.* metric it moves.
 func TestMemoStoreMatchesDecodePath(t *testing.T) {
-	// One job record kept, so each answer for A must revive A's record.
+	// One job record kept: each poll for A is answered from the store.
 	s, ts, _ := storedNode(t, Config{JobHistory: 1})
 
 	c0, d0 := cacheCounters(s), s.decodes.Load()
@@ -349,7 +349,7 @@ func TestMemoStoreMatchesDecodePath(t *testing.T) {
 	sameReply(t, "store memo vs decode path", viaMemo, viaDecode)
 	sameDelta(t, "store memo vs decode path", counterDelta(c0, c1), counterDelta(c2, c3))
 	if !bytes.Equal(stMemo, stDecode) {
-		t.Fatalf("revived job records differ:\n%s\n%s", stMemo, stDecode)
+		t.Fatalf("job poll answers differ:\n%s\n%s", stMemo, stDecode)
 	}
 }
 
@@ -687,41 +687,56 @@ var fuzzKinds = []jobKind{kindDetect, kindSweep, kindFaultSweep}
 //   - a body that resolves keeps its key after a JSON round trip through
 //     Request;
 //   - the same bytes sent to another endpoint are decoded there, never
-//     answered from the first endpoint's memo entry.
+//     answered from the first endpoint's memo entry;
+//   - the key is sound: when body and a second body, twin, resolve to one
+//     key on the endpoint, both run cold on one fresh node give the same
+//     bytes (keySoundnessArm).
 //
-// The seed corpus (GoldenWorkload's bodies plus small inline sites) runs
-// under plain `go test`.
+// The seed corpus (GoldenWorkload's bodies plus small inline sites, most
+// with a twin spelled differently that resolves to the same key; two
+// twins name another seed or an unpruned sweep, which a key that dropped
+// that input would run to different bytes) runs under plain `go test`.
 func FuzzServeKey(f *testing.F) {
+	twins := map[string]string{
+		goldenSteps[0].body: `{"seed":7,"spec":{"index":1,"seed":1,"kind":"corpus"},"explore":true}`,
+		goldenSteps[3].body: `{"spec":{"index":1},"seeds":3,"mode":"seeds","seed":1,"async":true}`,
+		goldenSteps[4].body: `{"mode":"delay-one","spec":{"kind":"corpus","index":2},"prune":false}`,
+		goldenSteps[5].body: `{"spec":{"kind":"fault","index":1},"plans":2,"faultSeed":1}`,
+	}
 	for _, st := range goldenSteps {
 		if st.method == http.MethodPost {
-			f.Add(uint8(fuzzKindIndex(strings.TrimPrefix(st.path, "/v1/"))), []byte(st.body))
+			f.Add(uint8(fuzzKindIndex(strings.TrimPrefix(st.path, "/v1/"))), []byte(st.body), []byte(twins[st.body]))
 		}
 	}
 	for _, s := range []struct {
-		kind uint8
-		body string
+		kind       uint8
+		body, twin string
 	}{
-		{0, `{"site":` + racySite + `,"seed":2}`},
-		{0, `{"seed":2,"site":` + racySite + `,"async":true}`},
-		{0, `{"site":{"resources":{"index.html":"<p id=a></p><script>var x=1;</script>"}},"filters":true}`},
-		{0, `{"site":` + racySite + `,"fault":{"seed":3,"drop":0.5}}`},
-		{1, `{"site":` + racySite + `,"seeds":2,"prune":true}`},
-		{1, `{"site":` + racySite + `,"mode":"delay-one"}`},
-		{2, `{"site":` + racySite + `,"plans":2,"faultSeed":9}`},
-		{0, `{"site":` + racySite + `,"detector":"sampled","sampleRate":0.5}`},
-		{0, `{"site":` + racySite + `} `},
-		{0, `{"spec":{"index":-1}}`},
+		{0, `{"site":` + racySite + `,"seed":2}`, `{"seed":2,"site":` + racySite + `,"entry":"index.html","detector":"pairwise"}`},
+		{0, `{"seed":2,"site":` + racySite + `,"async":true}`, `{"site":` + racySite + `,"seed":3}`},
+		{0, `{"site":{"resources":{"index.html":"<p id=a></p><script>var x=1;</script>"}},"filters":true}`,
+			`{"filters":true,"site":{"name":"site","resources":{"index.html":"<p id=a></p><script>var x=1;</script>"}}}`},
+		{0, `{"site":` + racySite + `,"fault":{"seed":3,"drop":0.5}}`, `{"site":` + racySite + `,"fault":{"drop":0.5,"seed":3,"perURL":{}}}`},
+		{1, `{"site":` + racySite + `,"seeds":2,"prune":true}`, `{"site":` + racySite + `,"seeds":2}`},
+		{1, `{"site":` + racySite + `,"mode":"delay-one"}`, `{"mode":"delay-one","prune":false,"site":` + racySite + `}`},
+		{2, `{"site":` + racySite + `,"plans":2,"faultSeed":9}`, `{"plans":2,"faultSeed":9,"site":` + racySite + `,"seed":1}`},
+		{0, `{"site":` + racySite + `,"detector":"sampled","sampleRate":0.5}`, `{"site":` + racySite + `,"detector":"sampled","sampleRate":0.50}`},
+		{0, `{"site":` + racySite + `} `, `{"site":` + racySite + `,"timeoutMS":30000}`},
+		{0, `{"spec":{"index":-1}}`, ``},
 	} {
-		f.Add(s.kind, []byte(s.body))
+		f.Add(s.kind, []byte(s.body), []byte(s.twin))
 	}
-	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+	f.Fuzz(func(t *testing.T, endpoint uint8, body, twin []byte) {
 		kind := fuzzKinds[int(endpoint)%len(fuzzKinds)]
 		other := fuzzKinds[(int(endpoint)+1)%len(fuzzKinds)]
-		var req Request
-		if json.Unmarshal(body, &req) == nil && (req.Seeds > 8 || req.Plans > 8 ||
-			req.Spec != nil && req.Spec.Kind == "stress") {
+		if fuzzTooBig(body) {
 			t.Skip("bounded: more work than one fuzz input should ask for")
 		}
+		if !fuzzTooBig(twin) {
+			keySoundnessArm(t, kind, body, twin)
+		}
+		var req Request
+		_ = json.Unmarshal(body, &req)
 		s := NewServer(Config{Workers: 1, MaxBodyBytes: 16 << 10,
 			DefaultTimeout: 5 * time.Second, MaxTimeout: 5 * time.Second})
 		defer s.Close()
@@ -776,6 +791,37 @@ func FuzzServeKey(f *testing.F) {
 			t.Fatalf("/v1/%s and /v1/%s share job %s", kind, other, o.job)
 		}
 	})
+}
+
+// fuzzTooBig reports whether body asks for more work than one fuzz input
+// should: many seeds or plans, or a stress page.
+func fuzzTooBig(body []byte) bool {
+	var req Request
+	return json.Unmarshal(body, &req) == nil && (req.Seeds > 8 || req.Plans > 8 ||
+		req.Spec != nil && req.Spec.Kind == "stress")
+}
+
+// keySoundnessArm is FuzzServeKey's key-soundness arm: when body and twin
+// both resolve on kind's endpoint to one key, it runs both cold on one
+// fresh node and requires the same bytes, since a cached answer for one
+// is served to the other. A run that failed or that a budget cut short
+// is never cached, so a pair with one proves nothing and is skipped.
+func keySoundnessArm(t *testing.T, kind jobKind, body, twin []byte) {
+	s := NewServer(Config{Workers: 1, DefaultTimeout: 5 * time.Second, MaxTimeout: 5 * time.Second})
+	defer s.Close()
+	r1, err1 := s.resolveBody(newBodyKey(kind, body), body)
+	r2, err2 := s.resolveBody(newBodyKey(kind, twin), twin)
+	if err1 != nil || err2 != nil || r1.key != r2.key {
+		return
+	}
+	b1, ok1, err1 := s.execute(r1)
+	b2, ok2, err2 := s.execute(r2)
+	if err1 != nil || err2 != nil || !ok1 || !ok2 {
+		return
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("%s bodies share key %s but run to different bytes:\n%s\n%s\n%s\n%s", kind, r1.key[:8], body, twin, b1, b2)
+	}
 }
 
 // storeMemoArm is FuzzServeKey's store-backed arm: on a store node whose

@@ -3,7 +3,7 @@
 # into a machine-readable benchmark summary.
 #
 #   go test -run '^$' -bench 'Detector|ReplayVC' -benchmem -json . \
-#       | ./scripts/benchjson.sh BENCH_pr7.json
+#       | ./scripts/benchjson.sh BENCH_detectors.json
 #
 # The human-readable benchmark lines are reconstructed on stdout (so the
 # pipeline still reads like a normal `go test -bench` run) and OUT.json
