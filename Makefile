@@ -6,7 +6,7 @@
 # bounds (e.g. `make bench BENCH_COUNT=10`).
 BENCH_COUNT ?= 5
 
-all: build vet test obs docs linkcheck cluster prune
+all: build vet test obs docs linkcheck cluster prune examples
 
 build:
 	go build ./...
@@ -80,7 +80,7 @@ predictive:
 # escalations), and the pinned sampled metrics golden. The E11 table
 # reprints the cost/recall trade.
 sampled:
-	go test -race -run 'TestSampled|TestSampledReplayEscalation|TestSampledEscalationInterrupted|TestDifferentialSampled|TestConfigValidate|TestDetectorKindRoundTrip|TestWithConfigDelegation|TestRunPanics|TestGoldenMetricsSampled|TestShadowMatchesMapOracles|TestRecorder|TestLiveClocksLogReplay' . ./internal/race/ ./internal/hb/
+	go test -race -run 'TestSampled|TestSampledReplayEscalation|TestSampledEscalationInterrupted|TestDifferentialSampled|TestConfigValidate|TestDetectorKindRoundTrip|TestRunPanics|TestGoldenMetricsSampled|TestShadowMatchesMapOracles|TestRecorder|TestLiveClocksLogReplay' . ./internal/race/ ./internal/hb/
 	go test -race -run 'TestSampled|TestDetectors|TestEscalation|TestEscalationInterruptedNotCached|TestDefaultDetector' ./internal/serve/
 	go run ./cmd/experiments -sampled
 

@@ -250,7 +250,7 @@ func BenchmarkSampledEscalation(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorRunFloor measures one default-configuration Run with
+// BenchmarkDetectorRunFloor measures one default-configuration RunConfig with
 // allocations reported, on a near-empty page, where the per-run fixed
 // costs (detector tables, browser set-up) are all there is, and on one
 // corpus page.
@@ -274,7 +274,7 @@ func BenchmarkDetectorRunFloor(b *testing.B) {
 }
 
 // BenchmarkDetectorRunCorpusCold measures cold default-configuration
-// detections the way a node serves cache misses: each op is one Run of
+// detections the way a node serves cache misses: each op is one RunConfig of
 // one of 400 corpus pages, each at its own seed, with no parse memo, so
 // every script is lexed, parsed and resolved afresh. Allocations per op
 // are per run.
@@ -363,7 +363,7 @@ func BenchmarkDetectorAccessSet(b *testing.B) {
 func figureBench(b *testing.B, site *loader.Site, want report.Type) {
 	found := 0
 	for i := 0; i < b.N; i++ {
-		res := Run(site, WithSeed(1))
+		res := RunConfig(site, DefaultConfig(1))
 		found = 0
 		for _, r := range res.Reports {
 			if report.Classify(r) == want {
@@ -435,7 +435,7 @@ func BenchmarkPageLoad(b *testing.B) {
 func BenchmarkExploration(b *testing.B) {
 	site := sitegen.Generate(sitegen.SpecFor(1, 41)) // delayed-menu heavy page
 	for i := 0; i < b.N; i++ {
-		res := Run(site, WithSeed(1))
+		res := RunConfig(site, DefaultConfig(1))
 		if res.ExploreStats.EventsDispatched == 0 {
 			b.Fatal("exploration dispatched nothing")
 		}

@@ -167,18 +167,19 @@ func runExtensions(seed int64, n int) {
 	}
 	fmt.Printf("== E6: extension ablations over %d sites ==\n", n)
 	runWith := func(mut func(*webracer.Config)) int {
-		perSite, err := pool.Map(pool.Options{Workers: workers}, n, func(i int) int {
-			cfg := webracer.DefaultConfig(seed)
-			cfg.Seed = seed + int64(i)*101
-			mut(&cfg)
-			return len(webracer.RunConfig(sitegen.Generate(sitegen.SpecFor(seed, i)), cfg).RawReports)
-		})
+		cfg := webracer.DefaultConfig(seed)
+		mut(&cfg)
+		results, err := webracer.RunCorpusParallel(n, func(i int) *loader.Site {
+			return sitegen.Generate(sitegen.SpecFor(seed, i))
+		}, cfg, webracer.ParallelConfig{Workers: workers})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 		}
 		races := 0
-		for _, r := range perSite {
-			races += r
+		for _, r := range results {
+			if r != nil { // a site whose run panicked
+				races += len(r.RawReports)
+			}
 		}
 		return races
 	}
@@ -579,7 +580,9 @@ func runObs(seed int64, metricsDir, traceFile string) {
 	}
 
 	if traceFile != "" {
-		res := webracer.Run(cases[0].site, webracer.WithSeed(seed), webracer.WithTimeTrace())
+		cfg := webracer.DefaultConfig(seed)
+		cfg.TimeTrace = true
+		res := webracer.RunConfig(cases[0].site, cfg)
 		f, err := os.Create(traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

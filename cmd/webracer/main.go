@@ -100,36 +100,23 @@ func run() int {
 		}()
 	}
 
-	opts := []webracer.Option{
-		webracer.WithSeed(*seed),
-		webracer.WithExplore(*expl),
-		webracer.WithEntry(*entry),
-	}
-	if *exhaust {
-		opts = append(opts, webracer.WithExhaustive())
-	}
-	if *filters {
-		opts = append(opts, webracer.WithFilters())
-	}
-	if *timeout > 0 {
-		opts = append(opts, webracer.WithTimeout(*timeout))
-	}
-	if *metricsF != "" || *liveAddr != "" {
-		opts = append(opts, webracer.WithTelemetry())
-	}
-	if *traceF != "" {
-		opts = append(opts, webracer.WithTimeTrace())
-	}
 	kind, err := webracer.ParseDetector(*detector)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	opts = append(opts, webracer.WithDetector(kind))
-	if *rate != 0 {
-		opts = append(opts, webracer.WithSampleRate(*rate))
+	cfg := webracer.Config{
+		Seed:       *seed,
+		Explore:    *expl || *exhaust, // exhaustive exploration implies exploration
+		Exhaustive: *exhaust,
+		Filters:    *filters,
+		Detector:   kind,
+		SampleRate: *rate,
+		EntryURL:   *entry,
+		RunTimeout: *timeout,
+		Telemetry:  *metricsF != "" || *liveAddr != "",
+		TimeTrace:  *traceF != "",
 	}
-	cfg := webracer.NewConfig(opts...)
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

@@ -38,7 +38,7 @@ func TestDetectionCompleteness(t *testing.T) {
 		IframePairs: 1,
 	}
 	site := sitegen.Generate(spec)
-	res := Run(site, WithSeed(5))
+	res := RunConfig(site, DefaultConfig(5))
 
 	counts := res.RawCounts
 	// HTML: harmful lookups + benign guarded + ford polls (each id races).
@@ -91,7 +91,7 @@ func TestDetectionCompleteness(t *testing.T) {
 // meaningful.
 func TestDetectionCompletenessPerLocationCap(t *testing.T) {
 	site := sitegen.Generate(sitegen.SpecFor(1, 40))
-	res := Run(site, WithSeed(1))
+	res := RunConfig(site, DefaultConfig(1))
 	seen := map[mem.Loc]int{}
 	for _, r := range res.RawReports {
 		seen[r.Loc]++

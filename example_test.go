@@ -8,13 +8,13 @@ import (
 	"webracer/internal/report"
 )
 
-// ExampleRun detects the paper's Fig. 2 race in a three-line page.
-func ExampleRun() {
+// ExampleRunConfig detects the paper's Fig. 2 race in a three-line page.
+func ExampleRunConfig() {
 	site := loader.NewSite("example").Add("index.html", `
 <input type="text" id="depart" />
 <script>document.getElementById("depart").value = "City of Departure";</script>`)
 
-	res := webracer.Run(site, webracer.WithSeed(1))
+	res := webracer.RunConfig(site, webracer.DefaultConfig(1))
 	for _, r := range res.Reports {
 		fmt.Println(report.Classify(r), "race on the form value — two unordered writes")
 	}
@@ -35,7 +35,7 @@ function openPanel() {
 <a href="javascript:openPanel()">Open</a>
 <div id="panel" style="display:none"></div>`)
 
-	cfg := webracer.NewConfig(webracer.WithSeed(1))
+	cfg := webracer.DefaultConfig(1)
 	res := webracer.RunConfig(site, cfg)
 	harm, err := webracer.ClassifyHarmfulParallel(site, cfg, res, webracer.ParallelConfig{})
 	if err != nil {
@@ -61,8 +61,8 @@ func ExampleDiffRaces() {
 <script>function boost() { boosted = 1; }</script>
 <div id="hover" onmouseover="boost();">deals</div>`)
 
-	before := webracer.Export(webracer.Run(buggy, webracer.WithSeed(1)), 1, nil, false)
-	after := webracer.Export(webracer.Run(fixedSite, webracer.WithSeed(1)), 1, nil, false)
+	before := webracer.Export(webracer.RunConfig(buggy, webracer.DefaultConfig(1)), 1, nil, false)
+	after := webracer.Export(webracer.RunConfig(fixedSite, webracer.DefaultConfig(1)), 1, nil, false)
 	fixed, introduced := webracer.DiffRaces(before, after)
 	fmt.Printf("fixed %d race location(s), introduced %d\n", len(fixed), len(introduced))
 	// Output:
@@ -76,7 +76,7 @@ func Example_advise() {
 <script src="menu.js" async="true"></script>`).
 		Add("menu.js", `function openMenu() { open = 1; }`)
 
-	res := webracer.Run(site, webracer.WithSeed(1))
+	res := webracer.RunConfig(site, webracer.DefaultConfig(1))
 	for _, r := range res.Reports {
 		if report.Classify(r) == report.Function {
 			fmt.Println(report.Advise(r)[:59], "…")

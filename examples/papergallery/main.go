@@ -82,7 +82,7 @@ func main() {
 	for _, f := range figures() {
 		fmt.Println(f.name)
 		fmt.Println("  ", f.desc)
-		res := webracer.Run(f.site, webracer.WithSeed(1))
+		res := webracer.RunConfig(f.site, webracer.DefaultConfig(1))
 		found := false
 		for _, r := range res.Reports {
 			if report.Classify(r) == f.want {

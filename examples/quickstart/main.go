@@ -27,7 +27,7 @@ func main() {
   </script>
 </body></html>`)
 
-	res := webracer.Run(site, webracer.WithSeed(1))
+	res := webracer.RunConfig(site, webracer.DefaultConfig(1))
 
 	fmt.Printf("loaded %q: %d operations, %d race(s)\n\n", res.Site, res.Ops, len(res.Reports))
 	for _, r := range res.Reports {

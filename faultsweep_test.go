@@ -90,8 +90,10 @@ func TestFaultPlanRunDeterministic(t *testing.T) {
 		Seed: 9, DropProb: 0.2, StatusProb: 0.2, StallProb: 0.2, TruncProb: 0.2,
 		PerURL: map[string]fault.Kind{"index.html": fault.KindNone},
 	}
-	a := Run(site, WithSeed(4), WithFaultPlan(plan))
-	b := Run(site, WithSeed(4), WithFaultPlan(plan))
+	cfg := DefaultConfig(4)
+	cfg.Fault = &plan
+	a := RunConfig(site, cfg)
+	b := RunConfig(site, cfg)
 	ab, bb := exportBytes(t, a, 4), exportBytes(t, b, 4)
 	if !bytes.Equal(ab, bb) {
 		t.Fatalf("faulted run not replayable: %d vs %d bytes", len(ab), len(bb))

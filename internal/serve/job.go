@@ -240,13 +240,15 @@ func (s *Server) resolve(kind jobKind, req *Request) (*resolved, error) {
 
 	switch kind {
 	case kindSweep:
-		r.seeds = req.Seeds
-		if r.seeds < 1 {
-			r.seeds = 8
-		}
+		// delay-one never reads Seeds, so it keeps the default whatever
+		// the body says: one job, one key.
+		r.seeds = 8
 		switch req.Mode {
 		case "", "seeds":
 			r.mode = "seeds"
+			if req.Seeds >= 1 {
+				r.seeds = req.Seeds
+			}
 		case "delay-one":
 			r.mode = "delay-one"
 		default:

@@ -719,6 +719,7 @@ func FuzzServeKey(f *testing.F) {
 		{0, `{"site":` + racySite + `,"fault":{"seed":3,"drop":0.5}}`, `{"site":` + racySite + `,"fault":{"drop":0.5,"seed":3,"perURL":{}}}`},
 		{1, `{"site":` + racySite + `,"seeds":2,"prune":true}`, `{"site":` + racySite + `,"seeds":2}`},
 		{1, `{"site":` + racySite + `,"mode":"delay-one"}`, `{"mode":"delay-one","prune":false,"site":` + racySite + `}`},
+		{1, `{"site":` + racySite + `,"mode":"delay-one","seeds":5}`, `{"mode":"delay-one","site":` + racySite + `}`},
 		{2, `{"site":` + racySite + `,"plans":2,"faultSeed":9}`, `{"plans":2,"faultSeed":9,"site":` + racySite + `,"seed":1}`},
 		{0, `{"site":` + racySite + `,"detector":"sampled","sampleRate":0.5}`, `{"site":` + racySite + `,"detector":"sampled","sampleRate":0.50}`},
 		{0, `{"site":` + racySite + `} `, `{"site":` + racySite + `,"timeoutMS":30000}`},

@@ -32,10 +32,6 @@ type RouterConfig struct {
 	// — the URL is the identity; the chaos battery pins names so its
 	// routing and counters are byte-stable while httptest picks ports.
 	BackendNames []string
-	// Replicas is the number of virtual nodes per backend on the hash
-	// ring (default 64). More replicas smooth the key distribution at the
-	// cost of a larger ring.
-	Replicas int
 	// RequestTimeout bounds each forward attempt (default 90s — above
 	// the service's 2m MaxTimeout would never trip, below the default
 	// job budget starves sweeps; operators tune it to their job mix).
@@ -46,13 +42,9 @@ type RouterConfig struct {
 	// primary died lands on the next backend, not the same corpse.
 	Attempts int
 	// BackoffBase seeds the capped exponential backoff between attempts
-	// (default 25ms; attempt n waits base·2ⁿ scaled by seeded jitter).
+	// (default 25ms; attempt n waits base·2ⁿ, capped at 1s and
+	// scaled by deterministic jitter).
 	BackoffBase time.Duration
-	// BackoffCap caps the backoff growth (default 1s).
-	BackoffCap time.Duration
-	// Seed drives the deterministic backoff jitter (FNV-1a over
-	// (seed, key, attempt), the internal/fault decision style).
-	Seed int64
 	// BreakerFailures is the consecutive-failure count that opens a
 	// backend's circuit breaker (default 5; negative disables breakers —
 	// the chaos goldens do, so their counters stay order-independent).
@@ -70,11 +62,17 @@ type RouterConfig struct {
 	Chaos *ChaosPlan
 }
 
+const (
+	// ringReplicas is the number of virtual nodes per backend on the hash
+	// ring. More replicas smooth the key distribution at the cost of a
+	// larger ring.
+	ringReplicas = 64
+	// backoffCap caps the retry backoff's exponential growth.
+	backoffCap = time.Second
+)
+
 // withDefaults fills zero fields.
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.Replicas < 1 {
-		c.Replicas = 64
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 90 * time.Second
 	}
@@ -85,9 +83,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 		c.BackoffBase = 0
 	} else if c.BackoffBase == 0 {
 		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = time.Second
 	}
 	if c.BreakerFailures == 0 {
 		c.BreakerFailures = 5
@@ -269,12 +264,12 @@ func (rt *Router) Close() {
 	rt.healthWG.Wait()
 }
 
-// buildRing places Replicas virtual nodes per backend on the hash ring,
+// buildRing places ringReplicas virtual nodes per backend on the hash ring,
 // sorted by position. FNV-1a over "url#i" — deterministic, so every
 // router instance with the same backend list routes identically.
 func (rt *Router) buildRing() {
 	for i, b := range rt.backends {
-		for v := 0; v < rt.cfg.Replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			rt.ring = append(rt.ring, ringPoint{hash: ringHash(fmt.Sprintf("%s#%d", b.name, v)), idx: i})
 		}
 	}
@@ -599,18 +594,18 @@ func (rt *Router) runLocal(q *routedReq, reqID string) (int, string, []byte) {
 // backoff sleeps the capped exponential delay before retry `attempt`,
 // scaled by deterministic jitter in [0.5, 1.0) so a thundering herd of
 // routers retrying the same lost backend decorrelates without
-// randomness: FNV-1a of (seed, key, attempt), the internal/fault roll.
+// randomness: FNV-1a of (key, attempt) after a zero 8-byte seed, the
+// internal/fault roll.
 func (rt *Router) backoff(key string, attempt int) {
 	if rt.cfg.BackoffBase <= 0 {
 		return
 	}
 	d := rt.cfg.BackoffBase << (attempt - 1)
-	if d > rt.cfg.BackoffCap || d <= 0 {
-		d = rt.cfg.BackoffCap
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
 	h := fnv.New64a()
 	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(rt.cfg.Seed))
 	h.Write(b8[:])
 	h.Write([]byte(key))
 	binary.LittleEndian.PutUint64(b8[:], uint64(attempt))

@@ -133,6 +133,21 @@ func TestDefaultSpellingsShareKey(t *testing.T) {
 	}
 }
 
+// TestDelayOneIgnoresSeeds: a delay-one sweep never reads seeds, so a
+// body that sets it is the same job as one that does not — the second is
+// a hit with the same bytes.
+func TestDelayOneIgnoresSeeds(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	_, cold := post(t, ts, "/v1/sweep", `{"spec":{"kind":"sched","index":0},"mode":"delay-one"}`)
+	resp, warm := post(t, ts, "/v1/sweep", `{"spec":{"kind":"sched","index":0},"mode":"delay-one","seeds":5}`)
+	if h := resp.Header.Get("X-Webracer-Cache"); h != "hit" {
+		t.Fatalf("seeds split a delay-one job (%q)", h)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Fatalf("bodies differ:\n%s\n%s", cold, warm)
+	}
+}
+
 // TestConcurrentIdenticalPostsCoalesce: identical requests in flight at
 // once run once — single-flight — and every caller gets the same bytes.
 func TestConcurrentIdenticalPostsCoalesce(t *testing.T) {

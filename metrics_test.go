@@ -198,7 +198,7 @@ func TestMetricsRunToRunStability(t *testing.T) {
 // TestTelemetryOffByDefault guards the zero-cost contract's API half: no
 // telemetry unless asked for.
 func TestTelemetryOffByDefault(t *testing.T) {
-	res := Run(goldenCases()[0].site, WithSeed(1))
+	res := RunConfig(goldenCases()[0].site, DefaultConfig(1))
 	if res.Metrics != nil || res.Trace != nil {
 		t.Fatalf("Metrics=%v Trace=%v without Telemetry/TimeTrace, want nil", res.Metrics, res.Trace)
 	}

@@ -11,7 +11,7 @@ import (
 
 // ParallelConfig tunes the parallel sweep engine. Every sweep unit — one
 // (site, seed) simulation — is a self-contained deterministic
-// computation: each Run builds its own browser, loader, interpreter and
+// computation: each RunConfig builds its own browser, loader, interpreter and
 // seeded RNGs and never touches package-level mutable state, so sweeps
 // shard over workers without changing any result. The units of one sweep
 // share only its parse memo (see withParseMemo), whose ASTs are
@@ -49,9 +49,6 @@ type ParallelConfig struct {
 
 // Progress exposes live per-worker sweep counters; see pool.Counters.
 type Progress = pool.Counters
-
-// ProgressSnapshot is a point-in-time view of a sweep's progress.
-type ProgressSnapshot = pool.Snapshot
 
 func (p ParallelConfig) opts() pool.Options {
 	return pool.Options{Workers: p.Workers, Ctx: p.Ctx, Counters: p.Progress}

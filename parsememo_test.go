@@ -166,7 +166,7 @@ func TestParseMemoSyntaxErrors(t *testing.T) {
 // ---- byte identity against plain runs ----
 
 // plainRun is one detection run that parses without a memo. A single
-// Run — the sampled tier's included, which runs the page once — never
+// RunConfig — the sampled tier's included, which runs the page once — never
 // carries one.
 func plainRun(site *loader.Site, cfg Config) *Result {
 	return RunConfig(site, cfg)

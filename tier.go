@@ -36,11 +36,10 @@ var (
 	ErrSampledExhaustive = errors.New("sampled detector cannot be combined with exhaustive exploration")
 )
 
-// Validate checks the configuration's cross-field invariants. The With*
-// options cannot produce most invalid states on their own, but Config is
+// Validate checks the configuration's cross-field invariants. Config is
 // an open struct and the service deserializes it from requests; API
 // boundaries call Validate and map the typed errors to 400s/exit codes,
-// while Run panics on an invalid Config (programmer error).
+// while RunConfig panics on an invalid Config (programmer error).
 func (c Config) Validate() error {
 	if c.SampleRate < 0 || c.SampleRate > 1 || math.IsNaN(c.SampleRate) {
 		return fmt.Errorf("webracer: %w: %v (want a rate in (0, 1], or 0 for the default %v)",

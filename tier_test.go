@@ -80,39 +80,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestRunPanicsOnInvalidConfig pins Run's documented programmer-error
+// TestRunPanicsOnInvalidConfig pins RunConfig's documented programmer-error
 // behaviour at the library level (boundaries validate first).
 func TestRunPanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		v := recover()
 		if v == nil {
-			t.Fatal("Run with an invalid config did not panic")
+			t.Fatal("RunConfig with an invalid config did not panic")
 		}
 		err, ok := v.(error)
 		if !ok || !errors.Is(err, ErrInvalidSampleRate) {
 			t.Fatalf("panic value %v, want ErrInvalidSampleRate", v)
 		}
 	}()
-	Run(loader.NewSite("x").Add("index.html", "<p>hi</p>"),
-		WithDetector(DetectorSampled), WithSampleRate(2))
-}
-
-// TestWithConfigDelegation pins the struct-form/options-form unification:
-// RunConfig must produce the same output as Run(WithConfig), and options
-// after WithConfig still apply.
-func TestWithConfigDelegation(t *testing.T) {
-	site := sitegen.Generate(sitegen.SpecFor(1, 7))
-	cfg := DefaultConfig(3)
-	cfg.Filters = true
-	a := reportsJSON(t, RunConfig(site, cfg))
-	b := reportsJSON(t, Run(site, WithConfig(cfg)))
-	if !bytes.Equal(a, b) {
-		t.Fatal("RunConfig and Run(WithConfig) diverged")
-	}
-	over := NewConfig(WithConfig(cfg), WithSeed(9))
-	if over.Seed != 9 || !over.Filters {
-		t.Fatalf("options after WithConfig: got seed %d filters %v", over.Seed, over.Filters)
-	}
+	RunConfig(loader.NewSite("x").Add("index.html", "<p>hi</p>"),
+		Config{Explore: true, Detector: DetectorSampled, SampleRate: 2})
 }
 
 // sampledDifferentialSites is sized so the battery covers every corpus
@@ -177,18 +159,18 @@ func TestDifferentialSampled(t *testing.T) {
 // output; a race-free page stays on the cheap tier and reports nothing.
 func TestSampledEscalationContract(t *testing.T) {
 	racy := sitegen.Fig1()
-	res := Run(racy, WithSeed(1), WithDetector(DetectorSampled), WithSampleRate(1))
+	res := RunConfig(racy, Config{Seed: 1, Explore: true, Detector: DetectorSampled, SampleRate: 1})
 	if res.Sampled == nil || !res.Sampled.Escalated || res.Sampled.Hits == 0 {
 		t.Fatalf("fig1 at rate 1: Sampled = %+v, want an escalated run with hits", res.Sampled)
 	}
-	exact := Run(racy, WithSeed(1), WithDetector(DetectorPairwiseVC))
+	exact := RunConfig(racy, Config{Seed: 1, Explore: true, Detector: DetectorPairwiseVC})
 	if !bytes.Equal(reportsJSON(t, res), reportsJSON(t, exact)) {
 		t.Fatal("escalated reports differ from a direct exact run")
 	}
 
 	clean := loader.NewSite("clean").Add("index.html",
 		`<p>static</p><script>var a = 1; var b = a + 1;</script>`)
-	cres := Run(clean, WithSeed(1), WithDetector(DetectorSampled), WithSampleRate(1))
+	cres := RunConfig(clean, Config{Seed: 1, Explore: true, Detector: DetectorSampled, SampleRate: 1})
 	if cres.Sampled == nil || cres.Sampled.Escalated || cres.Sampled.Hits != 0 || len(cres.RawReports) != 0 {
 		t.Fatalf("race-free site: Sampled = %+v, raw %d; want no hits, no escalation",
 			cres.Sampled, len(cres.RawReports))

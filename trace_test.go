@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"webracer/internal/fault"
+	"webracer/internal/loader"
 	"webracer/internal/obs"
 	"webracer/internal/sitegen"
 )
 
-// traceOf runs site with virtual-time tracing and returns the trace.
-func traceOf(t *testing.T, run func() *Result) *obs.TraceLog {
+// traceConfig is the seed-1 default run with virtual-time tracing on.
+var traceConfig = Config{Seed: 1, Explore: true, TimeTrace: true}
+
+// traceOf runs site under traceConfig and returns the trace.
+func traceOf(t *testing.T, site *loader.Site) *obs.TraceLog {
 	t.Helper()
-	res := run()
+	res := RunConfig(site, traceConfig)
 	if res.Trace == nil {
 		t.Fatal("TimeTrace set but Result.Trace is nil")
 	}
@@ -24,7 +28,7 @@ func traceOf(t *testing.T, run func() *Result) *obs.TraceLog {
 // the acceptance criterion demands (≥4 categories) and that the JSON is a
 // well-formed Chrome trace_event file.
 func TestTraceFig1Shape(t *testing.T) {
-	tr := traceOf(t, func() *Result { return Run(sitegen.Fig1(), WithSeed(1), WithTimeTrace()) })
+	tr := traceOf(t, sitegen.Fig1())
 
 	cats := map[string]bool{}
 	phases := map[string]bool{}
@@ -75,7 +79,7 @@ func TestTraceFig1Shape(t *testing.T) {
 // TestTraceFig4HasTimerSpans checks the Fig. 4 page (setTimeout in an
 // iframe onload) produces timer category spans with matched async pairs.
 func TestTraceFig4HasTimerSpans(t *testing.T) {
-	tr := traceOf(t, func() *Result { return Run(sitegen.Fig4(), WithSeed(1), WithTimeTrace()) })
+	tr := traceOf(t, sitegen.Fig4())
 	begins, ends := map[string]bool{}, map[string]bool{}
 	for _, ev := range tr.Events() {
 		if ev.Cat != "timer" {
@@ -108,8 +112,8 @@ func TestTraceByteStability(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	tr1 := traceOf(t, func() *Result { return Run(sitegen.Fig1(), WithSeed(1), WithTimeTrace()) })
-	tr2 := traceOf(t, func() *Result { return Run(sitegen.Fig1(), WithSeed(1), WithTimeTrace()) })
+	tr1 := traceOf(t, sitegen.Fig1())
+	tr2 := traceOf(t, sitegen.Fig1())
 	a, b := render(tr1), render(tr2)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical runs produced different trace bytes")
@@ -122,8 +126,9 @@ func TestTraceByteStability(t *testing.T) {
 // TestTraceFaultInstants checks injected faults appear as instant events
 // at their virtual time.
 func TestTraceFaultInstants(t *testing.T) {
-	res := Run(sitegen.Fig1(), WithSeed(1), WithTimeTrace(),
-		WithFaultPlan(fault.Plan{Seed: 5, PerURL: map[string]fault.Kind{"a.html": fault.KindDrop}}))
+	cfg := traceConfig
+	cfg.Fault = &fault.Plan{Seed: 5, PerURL: map[string]fault.Kind{"a.html": fault.KindDrop}}
+	res := RunConfig(sitegen.Fig1(), cfg)
 	instants := 0
 	for _, ev := range res.Trace.Events() {
 		if ev.Ph == "i" && ev.Cat == "fault" {

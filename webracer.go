@@ -14,13 +14,13 @@
 // Quick start:
 //
 //	site := loader.NewSite("demo").Add("index.html", `...`)
-//	res := webracer.Run(site, webracer.WithSeed(1))
+//	res := webracer.RunConfig(site, webracer.DefaultConfig(1))
 //	for _, r := range res.Reports {
 //	    fmt.Println(report.Classify(r), r)
 //	}
 //
-// Run takes functional options (WithSeed, WithDetector, WithFilters, ...);
-// RunConfig accepts a fully built Config for callers that prefer a struct.
+// Config holds every knob (Seed, Detector, Filters, ...); DefaultConfig
+// starts from the paper's evaluation configuration.
 package webracer
 
 import (
@@ -142,7 +142,8 @@ type Config struct {
 	Explore bool
 	// Exhaustive switches exploration to the feedback-directed mode
 	// (repeated rounds until no new handlers appear — the Artemis-style
-	// deeper exploration the paper defers to future work, §8).
+	// deeper exploration the paper defers to future work, §8). It takes
+	// effect only with Explore set.
 	Exhaustive bool
 	// Filters enables the §5.3 report filters (form races and
 	// single-dispatch events).
@@ -194,86 +195,6 @@ func DefaultConfig(seed int64) Config {
 	return Config{Seed: seed, Explore: true}
 }
 
-// Option configures a detection session; see Run. The zero-option session
-// equals DefaultConfig(0).
-type Option func(*Config)
-
-// WithSeed sets the seed driving all simulated nondeterminism.
-func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithExplore switches automatic exploration (§5.2.2) on or off; it is on
-// by default, matching the paper's evaluation.
-func WithExplore(on bool) Option { return func(c *Config) { c.Explore = on } }
-
-// WithExhaustive enables feedback-directed exploration (repeated rounds
-// until no new handlers appear); it implies exploration.
-func WithExhaustive() Option {
-	return func(c *Config) { c.Explore, c.Exhaustive = true, true }
-}
-
-// WithFilters enables the §5.3 report filters.
-func WithFilters() Option { return func(c *Config) { c.Filters = true } }
-
-// WithDetector selects the detection algorithm.
-func WithDetector(kind DetectorKind) Option { return func(c *Config) { c.Detector = kind } }
-
-// WithSampleRate sets DetectorSampled's location sampling rate in (0, 1]
-// (see Config.SampleRate). It does not itself select the sampled
-// detector; combine with WithDetector(DetectorSampled).
-func WithSampleRate(rate float64) Option { return func(c *Config) { c.SampleRate = rate } }
-
-// WithConfig replaces the whole configuration with cfg. It is the bridge
-// from the struct-form API into the options path: RunConfig(site, cfg) is
-// exactly Run(site, WithConfig(cfg)), and later options still apply on
-// top (WithConfig(cfg), WithSeed(7) runs cfg at seed 7).
-func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
-
-// WithTrace records the access trace (required for ReplayVC and used by
-// the harm oracle).
-func WithTrace() Option { return func(c *Config) { c.RecordTrace = true } }
-
-// WithHarmRuns sets how many adversarial schedules ClassifyHarmful tries.
-func WithHarmRuns(n int) Option { return func(c *Config) { c.HarmRuns = n } }
-
-// WithEntry sets the page to load (default "index.html").
-func WithEntry(url string) Option { return func(c *Config) { c.EntryURL = url } }
-
-// WithBrowser tweaks low-level simulation knobs on the embedded
-// browser.Config.
-func WithBrowser(f func(*browser.Config)) Option {
-	return func(c *Config) { f(&c.Browser) }
-}
-
-// WithFaultPlan injects deterministic network faults per plan (see
-// internal/fault). Same (site, seed, plan) ⇒ same execution, byte for
-// byte; races found under the plan are annotated with its label.
-func WithFaultPlan(p fault.Plan) Option {
-	return func(c *Config) { c.Fault = &p }
-}
-
-// WithTimeout caps the run's wall-clock time. A tripped timeout yields a
-// partial Result (Interrupted names the reason) instead of an error.
-func WithTimeout(d time.Duration) Option {
-	return func(c *Config) { c.RunTimeout = d }
-}
-
-// WithTelemetry populates Result.Metrics with the run's deterministic
-// telemetry counters.
-func WithTelemetry() Option { return func(c *Config) { c.Telemetry = true } }
-
-// WithTimeTrace records the run as a virtual-time Chrome trace
-// (Result.Trace).
-func WithTimeTrace() Option { return func(c *Config) { c.TimeTrace = true } }
-
-// NewConfig builds a Config from options, starting from DefaultConfig(0).
-func NewConfig(opts ...Option) Config {
-	cfg := DefaultConfig(0)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
 // Result is the outcome of running the detector over one site.
 type Result struct {
 	Site string
@@ -319,26 +240,6 @@ type Result struct {
 	Trace *obs.TraceLog
 }
 
-// Run loads the site, optionally explores it, and reports races. The
-// zero-option call reproduces the paper's evaluation configuration
-// (exploration on, filters off); see the With* options for every knob —
-// including WithConfig, which RunConfig uses to accept a prebuilt Config
-// through this same path.
-//
-// Run panics if the assembled configuration fails Validate (programmer
-// error, like a malformed regexp); API boundaries — the CLIs, webracerd —
-// validate first and turn the typed errors into exit codes or 400s.
-func Run(site *loader.Site, opts ...Option) *Result {
-	cfg := NewConfig(opts...)
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.Detector == DetectorSampled && cfg.Browser.Detector == nil {
-		return runSampled(site, cfg)
-	}
-	return runOnce(site, cfg)
-}
-
 // detectorFactory builds the browser-level detector constructor for
 // cfg.Detector — the single parameterized factory behind all DetectorKind
 // values.
@@ -379,12 +280,22 @@ func detectorFactory(cfg Config, reportAll bool) func(*hb.Graph) race.Detector {
 	}
 }
 
-// RunConfig is Run with an explicit Config — sugar for
-// Run(site, WithConfig(cfg)). The struct form and the options form are one
-// API: both validate, both tier the sampled detector, both produce
-// identical Results for equivalent configurations.
+// RunConfig loads the site, optionally explores it, and reports races
+// under cfg. DefaultConfig reproduces the paper's evaluation
+// configuration (exploration on, filters off); every knob is a Config
+// field.
+//
+// RunConfig panics if cfg fails Validate (programmer error, like a
+// malformed regexp); API boundaries — the CLIs, webracerd — validate
+// first and turn the typed errors into exit codes or 400s.
 func RunConfig(site *loader.Site, cfg Config) *Result {
-	return Run(site, WithConfig(cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if cfg.Detector == DetectorSampled && cfg.Browser.Detector == nil {
+		return runSampled(site, cfg)
+	}
+	return runOnce(site, cfg)
 }
 
 // runOnce executes one detection pass with cfg taken literally — no

@@ -1,9 +1,9 @@
 package webracer
 
 import (
+	"reflect"
 	"testing"
 
-	"webracer/internal/browser"
 	"webracer/internal/hb"
 	"webracer/internal/loader"
 	"webracer/internal/mem"
@@ -164,8 +164,8 @@ func TestCrossFrameSharedGlobalForcesVectors(t *testing.T) {
 <iframe src="a.html"></iframe><iframe src="b.html"></iframe>`).
 		Add("a.html", `<script>x = 2;</script>`).
 		Add("b.html", `<script>alert(x);</script>`)
-	base := Run(site, WithSeed(1))
-	vc := Run(site, WithSeed(1), WithDetector(DetectorPairwiseVC))
+	base := RunConfig(site, DefaultConfig(1))
+	vc := RunConfig(site, Config{Seed: 1, Explore: true, Detector: DetectorPairwiseVC})
 	if len(vc.RawReports) != len(base.RawReports) {
 		t.Fatalf("live VC found %d races, graph found %d", len(vc.RawReports), len(base.RawReports))
 	}
@@ -188,44 +188,16 @@ func TestCrossFrameSharedGlobalForcesVectors(t *testing.T) {
 	}
 }
 
-// TestOptionsBuildConfig pins the functional-options surface to the Config
-// it builds.
-func TestOptionsBuildConfig(t *testing.T) {
-	got := NewConfig(
-		WithSeed(7),
-		WithDetector(DetectorAccessSet),
-		WithFilters(),
-		WithExhaustive(),
-		WithTrace(),
-		WithHarmRuns(3),
-		WithEntry("start.html"),
-		WithBrowser(func(b *browser.Config) { b.ReportAll = true }),
-	)
-	if got.Seed != 7 || got.Detector != DetectorAccessSet || !got.Filters ||
-		!got.Explore || !got.Exhaustive || !got.RecordTrace ||
-		got.HarmRuns != 3 || got.EntryURL != "start.html" || !got.Browser.ReportAll {
-		t.Errorf("options built wrong config: %+v", got)
+// TestDefaultConfig pins DefaultConfig to the paper's evaluation
+// configuration: exploration on, filters off, the pairwise detector.
+func TestDefaultConfig(t *testing.T) {
+	got := DefaultConfig(7)
+	want := Config{Seed: 7, Explore: true}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("DefaultConfig(7) = %+v, want %+v", got, want)
 	}
-	if z := NewConfig(); z.Seed != 0 || !z.Explore || z.Filters || z.Detector != DetectorPairwise {
-		t.Errorf("zero-option config %+v != DefaultConfig(0)", z)
-	}
-	if WithExplore(false); NewConfig(WithExplore(false)).Explore {
-		t.Error("WithExplore(false) left exploration on")
-	}
-}
-
-// TestRunOptionsMatchesRunConfig: the options entry point is a strict
-// front-end over RunConfig.
-func TestRunOptionsMatchesRunConfig(t *testing.T) {
-	a := Run(demoSite(), WithSeed(1))
-	b := RunConfig(demoSite(), DefaultConfig(1))
-	if len(a.RawReports) != len(b.RawReports) {
-		t.Fatalf("Run found %d races, RunConfig %d", len(a.RawReports), len(b.RawReports))
-	}
-	for i := range a.RawReports {
-		if a.RawReports[i].Loc != b.RawReports[i].Loc {
-			t.Errorf("report %d differs", i)
-		}
+	if err := got.Validate(); err != nil {
+		t.Errorf("DefaultConfig fails Validate: %v", err)
 	}
 }
 
@@ -274,7 +246,7 @@ func TestHarmRunsMultiple(t *testing.T) {
 func TestAjaxRacePattern(t *testing.T) {
 	spec := sitegen.Spec{Index: 0, Name: "ajax", Paragraphs: 1, AjaxRaces: 1}
 	site := sitegen.Generate(spec)
-	res := Run(site, WithSeed(3))
+	res := RunConfig(site, DefaultConfig(3))
 	found := false
 	for _, r := range res.RawReports {
 		if report.Classify(r) == report.Variable && r.Loc.Name == "shownPrice0" {
