@@ -41,7 +41,7 @@ chaos:
 # retry/quarantine counters (internal/serve/testdata/golden/). The store
 # crash-recovery battery, the router/persistence tests (the integrity
 # gate's answer digest and its GET /v1/jobs check among them), the
-# request memo's tests, store-backed memo included, the FuzzServeKey seed
+# request memo's tests, the FuzzServeKey seed
 # corpus (a repeat answered from its bytes must equal the decode path's
 # answer; two bodies with one key must run to the same bytes), the job
 # poll tests (TestJobAnswer*: the topology differential replaying one

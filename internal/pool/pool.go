@@ -13,8 +13,8 @@
 //     (Each), so aggregation code behaves identically at any worker
 //     count;
 //   - Each bounds in-flight memory with a sliding window: workers may run
-//     at most `window` items ahead of the slowest undelivered item, so a
-//     sweep over thousands of traces never holds more than O(window)
+//     at most 4 × workers items ahead of the slowest undelivered item, so
+//     a sweep over thousands of traces never holds more than O(workers)
 //     results at once;
 //   - cancellation via context stops dispatching promptly;
 //   - per-worker counters expose progress and throughput for the CLIs.
@@ -99,10 +99,6 @@ type Options struct {
 	// runtime.NumCPU(). Workers == 1 runs inline on the calling
 	// goroutine (no goroutines spawned), which is the serial path.
 	Workers int
-	// Window bounds, for Each, how far workers may run ahead of the
-	// in-order delivery point (and therefore how many undelivered
-	// results are buffered). Values < 1 mean 4 × workers.
-	Window int
 	// Ctx cancels the sweep; nil means context.Background(). Items
 	// already dispatched finish; no further items start.
 	Ctx context.Context
@@ -115,13 +111,6 @@ func (o Options) workers() int {
 		return runtime.NumCPU()
 	}
 	return o.Workers
-}
-
-func (o Options) window() int {
-	if o.Window < 1 {
-		return 4 * o.workers()
-	}
-	return o.Window
 }
 
 func (o Options) ctx() context.Context {
@@ -276,8 +265,8 @@ func Map[T any](opts Options, n int, fn func(i int) T) ([]T, error) {
 }
 
 // Each computes fn(0..n-1) over the configured workers and delivers each
-// result to sink strictly in input order, buffering at most Window
-// undelivered results: workers stall rather than run more than Window
+// result to sink strictly in input order, buffering at most 4 × workers
+// undelivered results: workers stall rather than run more than that many
 // items ahead of the delivery point, bounding memory for sweeps whose
 // results are large (recorded traces, full sessions) or whose n is
 // unbounded. A non-nil error from sink stops the sweep and is returned.
@@ -311,7 +300,7 @@ func Each[T any](opts Options, n int, fn func(i int) T, sink func(i int, v T) er
 		return errors.Join(panics...)
 	}
 
-	window := opts.window()
+	window := 4 * w
 	type slot struct {
 		i  int
 		v  T

@@ -36,7 +36,7 @@ func TestMapEmpty(t *testing.T) {
 func TestEachOrdering(t *testing.T) {
 	for _, w := range []int{1, 3, 8} {
 		var got []int
-		err := Each(Options{Workers: w, Window: 2},
+		err := Each(Options{Workers: w},
 			50,
 			func(i int) int { return i + 1000 },
 			func(i, v int) error {
@@ -60,12 +60,13 @@ func TestEachOrdering(t *testing.T) {
 	}
 }
 
-// TestEachWindowBound: with a window of k, no item may start while the
-// delivery point trails it by more than k.
+// TestEachWindowBound: with w workers, no item may start while the
+// delivery point trails it by more than the window, 4 × w.
 func TestEachWindowBound(t *testing.T) {
-	const window = 3
+	const workers = 4
+	const window = 4 * workers
 	var delivered atomic.Int64
-	err := Each(Options{Workers: 4, Window: window},
+	err := Each(Options{Workers: workers},
 		60,
 		func(i int) int {
 			if d := int(delivered.Load()); i > d+window {
@@ -200,7 +201,7 @@ func TestMapPanicRecovered(t *testing.T) {
 func TestEachPanicSkipsSink(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		var got []int
-		err := Each(Options{Workers: w, Window: 3}, 30,
+		err := Each(Options{Workers: w}, 30,
 			func(i int) int {
 				if i == 11 {
 					panic(i)

@@ -38,13 +38,6 @@ func newBodyKey(kind jobKind, raw []byte) bodyKey {
 // are the one exception — their bytes depend on wall-clock timing — and
 // the server never Puts them.
 //
-// The cache also carries the server's request memo: the body keys of
-// requests that resolved to a cached result, so a repeat of the same
-// bytes is answered without decoding them (see recall). A memo entry
-// lives and dies with the result it names and is charged nothing against
-// the budget, so remembering never displaces a result. Each result
-// remembers one request: the latest spelling that resolved to it.
-//
 // All methods are safe for concurrent use. Hit/miss/eviction traffic is
 // counted in the server's obs registry under serve.cache.*.
 type Cache struct {
@@ -53,7 +46,6 @@ type Cache struct {
 	size   int64
 	ll     *list.List // front = most recently used
 	items  map[string]*list.Element
-	memo   map[bodyKey]*list.Element // remembered requests → their result
 
 	hits, misses, evictions, puts, tooLarge *obs.Counter
 	bytes, entries                          *obs.Gauge
@@ -63,7 +55,6 @@ type Cache struct {
 type centry struct {
 	key  string
 	body []byte
-	memo bodyKey // the request remembered for this result; zero if none
 }
 
 // cost is the budget charge for one entry.
@@ -81,7 +72,6 @@ func NewCache(budget int64, m *obs.Metrics) *Cache {
 		budget:    budget,
 		ll:        list.New(),
 		items:     map[string]*list.Element{},
-		memo:      map[bodyKey]*list.Element{},
 		hits:      m.Counter("serve.cache.hits"),
 		misses:    m.Counter("serve.cache.misses"),
 		evictions: m.Counter("serve.cache.evictions"),
@@ -141,7 +131,6 @@ func (c *Cache) put(key string, body []byte) bool {
 	if el, ok := c.items[key]; ok {
 		old := el.Value.(*centry)
 		c.size += e.cost() - old.cost()
-		e.memo = old.memo
 		el.Value = e
 		c.ll.MoveToFront(el)
 	} else {
@@ -157,56 +146,12 @@ func (c *Cache) put(key string, body []byte) bool {
 		victim := back.Value.(*centry)
 		c.ll.Remove(back)
 		delete(c.items, victim.key)
-		delete(c.memo, victim.memo)
 		c.size -= victim.cost()
 		c.evictions.Inc()
 	}
 	c.bytes.Set(c.size)
 	c.entries.Set(int64(c.ll.Len()))
 	return true
-}
-
-// recall answers a request from its bytes alone: when bk is remembered
-// for a cached result, it returns that result's key and bytes, marks the
-// entry most recently used and counts a hit — exactly what Get on the key
-// would do. A request not remembered counts nothing; its caller decodes it
-// and goes through Get.
-func (c *Cache) recall(bk bodyKey) (string, []byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.memo[bk]
-	if !ok {
-		return "", nil, false
-	}
-	c.hits.Inc()
-	c.ll.MoveToFront(el)
-	e := el.Value.(*centry)
-	return e.key, e.body, true
-}
-
-// remember records that the request bk resolved to key, if key's result
-// is cached; otherwise it does nothing (there is nothing to answer with).
-// A result remembers one request, so this forgets the spelling it
-// remembered before, which costs that spelling one decode on its next
-// request, never a different answer. A zero bk — a request resolved
-// without its bytes — is never remembered.
-func (c *Cache) remember(bk bodyKey, key string) {
-	if bk.kind == "" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return
-	}
-	e := el.Value.(*centry)
-	if e.memo == bk {
-		return
-	}
-	delete(c.memo, e.memo)
-	e.memo = bk
-	c.memo[bk] = el
 }
 
 // Len is the number of cached entries.
@@ -223,18 +168,16 @@ func (c *Cache) Bytes() int64 {
 	return c.size
 }
 
-// routeMemoCap bounds the router's request memo and a store node's
-// store-backed memo. Neither holds the result an entry names (the router
-// holds none for a forwarded job; a store keeps its results on disk), so
-// entries cannot live with one; a fixed LRU of this many entries bounds
-// them instead (DESIGN.md "The request memo" gives its size).
+// routeMemoCap bounds the request memo, one per process (DESIGN.md "The
+// request memo" gives its size).
 const routeMemoCap = 1024
 
-// routeMemo is a fixed-capacity LRU from a request's body key to the job
-// key and async flag its bytes resolved to. The router routes a repeat by
-// it without a decode, and checks a repeated answer against the digest it
-// keeps; a store node (Server.stored) answers a repeat whose result left
-// the LRU by it. Safe for concurrent use.
+// routeMemo is the request memo: a fixed-capacity LRU from a request's
+// body key to the job key and async flag its bytes resolved to. A node
+// answers a repeat by it without a decode; a router routes a repeat by it
+// and checks a repeated answer against the digest it keeps. Each Server
+// owns one, and a router shares its local server's. Safe for concurrent
+// use.
 type routeMemo struct {
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used
@@ -249,7 +192,7 @@ type routeEntry struct {
 	answer [sha256.Size]byte // SHA-256 of the last 200 body that passed the router's gate; zero if none
 }
 
-// newRouteMemo builds an empty router memo.
+// newRouteMemo builds an empty request memo.
 func newRouteMemo() *routeMemo {
 	return &routeMemo{ll: list.New(), items: map[bodyKey]*list.Element{}}
 }
@@ -268,8 +211,12 @@ func (m *routeMemo) get(bk bodyKey) (key string, async, ok bool) {
 }
 
 // put remembers that bk resolved to (key, async), forgetting the least
-// recently used entry past routeMemoCap.
+// recently used entry past routeMemoCap. A zero bk — a request resolved
+// without its bytes — is never remembered.
 func (m *routeMemo) put(bk bodyKey, key string, async bool) {
+	if bk.kind == "" {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if el, ok := m.items[bk]; ok {

@@ -129,8 +129,6 @@ type Router struct {
 	mu      sync.Mutex
 	flights map[string]*flight
 
-	memo *routeMemo // request bytes → their key and async flag, and their last validated answer's digest
-
 	healthStop chan struct{}
 	healthWG   sync.WaitGroup
 
@@ -180,10 +178,10 @@ type flight struct {
 
 // NewRouter builds the router in front of local, which supplies request
 // resolution (so router and backends must run the same resolution flags
-// — see OPERATIONS.md "Running a cluster"), the router-side cache and
-// persistent store, the metrics registry, and the local-execution
-// fallback. Start active health probing per cfg.HealthInterval; stop it
-// with Close.
+// — see OPERATIONS.md "Running a cluster"), the request memo, the
+// router-side cache and persistent store, the metrics registry, and the
+// local-execution fallback. Start active health probing per
+// cfg.HealthInterval; stop it with Close.
 func NewRouter(local *Server, cfg RouterConfig) *Router {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
@@ -196,7 +194,6 @@ func NewRouter(local *Server, cfg RouterConfig) *Router {
 		metrics:        m,
 		client:         &http.Client{},
 		flights:        map[string]*flight{},
-		memo:           newRouteMemo(),
 		healthStop:     make(chan struct{}),
 		cRequests:      m.Counter("serve.router.requests"),
 		cForwarded:     m.Counter("serve.router.forwarded"),
@@ -329,10 +326,11 @@ type routedReq struct {
 	async bool
 }
 
-// post builds the routed handler for one POST endpoint. Bytes the router
-// has resolved before are routed by the key they resolved to, without a
-// decode; others are resolved by the local server (400s never leave the
-// router) and remembered.
+// post builds the routed handler for one POST endpoint. Bytes in the
+// memo are routed by the key they resolved to, without a decode; others
+// are resolved by the local server (400s never leave the router) and
+// remembered at once, since the router holds no result that could answer
+// them first.
 func (rt *Router) post(kind jobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, hr *http.Request) {
 		raw, ok := readRequest(w, hr, rt.local.cfg.MaxBodyBytes)
@@ -340,14 +338,14 @@ func (rt *Router) post(kind jobKind) http.HandlerFunc {
 			return
 		}
 		q := &routedReq{bk: newBodyKey(kind, raw), raw: raw}
-		if q.key, q.async, ok = rt.memo.get(q.bk); !ok {
+		if q.key, q.async, ok = rt.local.memo.get(q.bk); !ok {
 			r, err := rt.local.resolveBody(q.bk, raw)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			q.key, q.async = r.key, r.async
-			rt.memo.put(q.bk, r.key, r.async)
+			rt.local.memo.put(q.bk, r.key, r.async)
 		}
 		rt.cRequests.Inc()
 		rt.route(w, hr, q)
@@ -361,15 +359,12 @@ func (rt *Router) route(w http.ResponseWriter, hr *http.Request, q *routedReq) {
 	// Two-level router-side cache: a warm key never leaves the process.
 	// Only complete runs are ever cached, so serving them here is as
 	// sound as serving them on a backend.
-	if body, ok := rt.local.cache.Get(q.key); ok {
+	rt.local.mu.Lock()
+	body, cacheH := rt.local.lookupLocked(q.key)
+	rt.local.mu.Unlock()
+	if cacheH != "" {
 		rt.cRouterHits.Inc()
-		writeRouted(w, http.StatusOK, "hit", "local", 0, body)
-		return
-	}
-	if body, ok := rt.local.store.Get(q.key); ok {
-		rt.cRouterHits.Inc()
-		rt.local.cache.Put(q.key, body)
-		writeRouted(w, http.StatusOK, "store-hit", "local", 0, body)
+		writeRouted(w, http.StatusOK, cacheH, "local", 0, body)
 		return
 	}
 
@@ -537,13 +532,13 @@ func (rt *Router) accepts(q *routedReq, code int, body []byte) bool {
 		return rt.gate(body, q.key)
 	}
 	sum := sha256.Sum256(body)
-	if rt.memo.answered(q.bk, sum) {
+	if rt.local.memo.answered(q.bk, sum) {
 		return true
 	}
 	if !rt.gate(body, q.key) {
 		return false
 	}
-	rt.memo.noteAnswer(q.bk, sum)
+	rt.local.memo.noteAnswer(q.bk, sum)
 	return true
 }
 

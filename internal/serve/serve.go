@@ -14,8 +14,7 @@
 // Request lifecycle:
 //
 //	POST /v1/{detect,sweep,faultsweep}
-//	  → bytes remembered?    → 200 with cached bytes   (X-Webracer-Cache: hit)
-//	  → bytes remembered for a stored result? → its key, without the two steps below
+//	  → bytes remembered?    → their key, without the two steps below
 //	  → resolve (normalize inputs, 400 on bad requests)
 //	  → key (SHA-256 over canonical inputs)
 //	  → cache hit?           → 200 with cached bytes   (X-Webracer-Cache: hit)
@@ -150,10 +149,10 @@ type Server struct {
 	metrics *obs.Metrics
 	cache   *Cache
 	store   *store.Store // nil when persistence is disabled
-	// stored is the store-backed request memo: request bytes → the key of
-	// a result in the store, so a repeat whose result left the LRU is
-	// answered without a decode. Nil when persistence is disabled.
-	stored  *routeMemo
+	// memo is the process's request memo: request bytes → the key they
+	// resolved to, remembered once a cached or stored result answers
+	// them, so a repeat is answered without a decode. A router shares it.
+	memo    *routeMemo
 	runner  *pool.Runner
 	workers int // effective worker count (cfg.Workers resolved)
 	mux     *http.ServeMux
@@ -215,6 +214,7 @@ func NewServer(cfg Config) *Server {
 		cfg:          cfg,
 		metrics:      m,
 		cache:        NewCache(cfg.CacheBytes, m),
+		memo:         newRouteMemo(),
 		runner:       pool.NewRunner(cfg.Workers, cfg.QueueDepth),
 		workers:      workers,
 		jobs:         map[string]*job{},
@@ -244,7 +244,6 @@ func NewServer(cfg Config) *Server {
 			panic(fmt.Sprintf("serve: %v", err))
 		}
 		s.store = st
-		s.stored = newRouteMemo()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/detect", s.post(kindDetect))
@@ -289,10 +288,11 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close is Drain with no deadline.
 func (s *Server) Close() { _ = s.Drain(context.Background()) }
 
-// post builds the handler shared by the three submission endpoints. A
-// request whose exact bytes were answered before, and whose result is
-// still cached or stored, is answered from a memo without a decode; any
-// other request is decoded, resolved and submitted.
+// post builds the handler shared by the three submission endpoints.
+// Bytes in the memo are answered by the key they resolved to, without a
+// decode, while that key's result is cached or stored; when it is gone,
+// they are decoded only to run the job. Any other request is decoded,
+// resolved and submitted.
 func (s *Server) post(kind jobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, hr *http.Request) {
 		raw, ok := readRequest(w, hr, s.cfg.MaxBodyBytes)
@@ -300,79 +300,31 @@ func (s *Server) post(kind jobKind) http.HandlerFunc {
 			return
 		}
 		bk := newBodyKey(kind, raw)
-		if s.recall(w, bk) || s.recallStored(w, hr, bk, raw) {
-			return
+		key, async, remembered := s.memo.get(bk)
+		if remembered {
+			if s.answerKnown(w, key, bk, async) {
+				return
+			}
+			s.mu.Unlock() // decode outside the lock
 		}
 		r, err := s.resolveBody(bk, raw)
 		if err != nil {
+			// Never for remembered bytes: they resolved under this config before.
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.submit(w, hr, r)
-	}
-}
-
-// recall answers a request from its bytes alone when they were remembered
-// for a result still in the cache, through the decode path's hit reply
-// (answerCached). It reports whether it answered. A draining server
-// recalls nothing: the decode path answers its 503.
-func (s *Server) recall(w http.ResponseWriter, bk bodyKey) bool {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		return false
-	}
-	key, body, ok := s.cache.recall(bk)
-	if !ok {
-		return false
-	}
-	answerCached(w, key, "hit", body)
-	return true
-}
-
-// recallStored answers a request the LRU's memo no longer remembers when
-// its bytes are remembered for a result in the store: it looks the
-// remembered key up exactly as the decode path does (answerKnown), without
-// decoding. Only when the cache and the store have both lost the result
-// does it decode the bytes, to run the job. It reports whether it
-// answered.
-func (s *Server) recallStored(w http.ResponseWriter, hr *http.Request, bk bodyKey, raw []byte) bool {
-	if s.stored == nil {
-		return false
-	}
-	key, _, ok := s.stored.get(bk)
-	if !ok {
-		return false
-	}
-	if s.answerKnown(w, key, bk) {
-		return true
-	}
-	s.mu.Unlock()
-	r, err := s.resolveBody(bk, raw)
-	if err != nil {
-		// Unreachable: these bytes resolved under this config before.
-		writeError(w, http.StatusBadRequest, err.Error())
-		return true
-	}
-	s.mu.Lock()
-	s.admitLocked(w, hr, r)
-	return true
-}
-
-// rememberStored records that the request bk resolved to key, whose
-// result is in the store; the caller has a store. A cached answer is a
-// 200 whatever the request's async flag, so the store memo keeps none. A
-// zero bk — a request resolved without its bytes — is never remembered.
-func (s *Server) rememberStored(bk bodyKey, key string) {
-	if bk.kind != "" {
-		s.stored.put(bk, key, false)
+		if !remembered {
+			s.submit(w, hr, r)
+			return
+		}
+		s.mu.Lock()
+		s.admitLocked(w, hr, r)
 	}
 }
 
 // answerCached answers a request from a cached result: it writes body as
 // a 200 with the job header and cacheH ("hit" or "store-hit") as the
-// cache state. Every cached answer, recalled or decoded, goes through it.
+// cache state. Every cached answer goes through it.
 // It creates no job record: GET /v1/jobs finds the result where this
 // answer found it (jobAnswer).
 func answerCached(w http.ResponseWriter, key, cacheH string, body []byte) {
@@ -406,7 +358,7 @@ func readRequest(w http.ResponseWriter, hr *http.Request, limit int64) ([]byte, 
 // endpoint. Every error is a 400: malformed JSON, unknown fields, data
 // after the request object (trailing whitespace is fine), or inputs
 // resolve rejects. The resolved request keeps bk, so the memo can
-// remember it once its result is cached.
+// remember it once a cached or stored result answers it.
 func (s *Server) resolveBody(bk bodyKey, raw []byte) (*resolved, error) {
 	s.decodes.Add(1)
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -456,16 +408,17 @@ func readBody(r io.Reader, n, max int64) ([]byte, error) {
 // submit routes a resolved request: cache or store hit, coalesce onto an
 // in-flight job, or admit a new job (429 when the queue refuses).
 func (s *Server) submit(w http.ResponseWriter, hr *http.Request, r *resolved) {
-	if !s.answerKnown(w, r.key, r.bk) {
+	if !s.answerKnown(w, r.key, r.bk, r.async) {
 		s.admitLocked(w, hr, r)
 	}
 }
 
-// answerKnown answers the request bk, which resolved to key, when its
-// result is known: 503 while draining, else a cache hit, else a store
-// hit, each remembered for bk. It reports whether it answered; when it
-// did not, it returns holding s.mu, having written only the job header.
-func (s *Server) answerKnown(w http.ResponseWriter, key string, bk bodyKey) bool {
+// answerKnown answers the request bk, which resolved to key and async,
+// when its result is known: 503 while draining, else a cache or store hit
+// (lookupLocked), which remembers bk in the memo. It reports whether it
+// answered; when it did not, it returns holding s.mu, having written only
+// the job header.
+func (s *Server) answerKnown(w http.ResponseWriter, key string, bk bodyKey, async bool) bool {
 	w.Header().Set(HeaderJob, key)
 	s.mu.Lock()
 	if s.draining {
@@ -473,29 +426,39 @@ func (s *Server) answerKnown(w http.ResponseWriter, key string, bk bodyKey) bool
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return true
 	}
+	body, cacheH := s.lookupLocked(key)
+	if cacheH == "" {
+		return false
+	}
+	s.mu.Unlock()
+	s.memo.put(bk, key, async)
+	answerCached(w, key, cacheH, body)
+	return true
+}
+
+// lookupLocked finds key's result: in the LRU (cache state "hit"), else
+// in the store ("store-hit"), whose bytes go back into the LRU. cacheH is
+// "" when neither holds it. Every POST, routed or not, looks a result up
+// here. The caller holds s.mu, so a job finishing under s.mu is either in
+// the LRU here or still in the job table to coalesce onto. The disk read
+// happens outside the lock, so lookupLocked releases s.mu for it and holds
+// it again on return; if an identical job slipped in meanwhile, the bytes
+// are identical by contract.
+func (s *Server) lookupLocked(key string) (body []byte, cacheH string) {
 	if body, ok := s.cache.Get(key); ok {
-		s.cache.remember(bk, key)
-		s.mu.Unlock()
-		answerCached(w, key, "hit", body)
-		return true
+		return body, "hit"
 	}
 	if s.store == nil {
-		return false
+		return nil, ""
 	}
-	// Second cache level: the persistent store. The disk read happens
-	// outside the server lock; if an identical job slipped in meanwhile,
-	// the bytes are identical by contract.
 	s.mu.Unlock()
+	defer s.mu.Lock()
 	body, ok := s.store.Get(key)
 	if !ok {
-		s.mu.Lock()
-		return false
+		return nil, ""
 	}
 	s.cache.Put(key, body)
-	s.cache.remember(bk, key)
-	s.rememberStored(bk, key)
-	answerCached(w, key, "store-hit", body)
-	return true
+	return body, "store-hit"
 }
 
 // admitLocked coalesces a request whose result is not known onto its
@@ -605,7 +568,6 @@ func (s *Server) runJob(j *job, r *resolved) {
 		j.body = body
 		if cached {
 			kept = s.cache.put(j.id, body)
-			s.cache.remember(r.bk, j.id)
 		} else {
 			s.cInterrupted.Inc()
 		}
@@ -625,7 +587,6 @@ func (s *Server) runJob(j *job, r *resolved) {
 		// admissions. Best-effort: a failed write costs a recomputation
 		// after restart, never correctness (serve.store.errors counts it).
 		if s.store.Put(j.id, body) == nil {
-			s.rememberStored(r.bk, j.id)
 			kept = true
 		}
 	}

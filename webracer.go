@@ -142,8 +142,8 @@ type Config struct {
 	Explore bool
 	// Exhaustive switches exploration to the feedback-directed mode
 	// (repeated rounds until no new handlers appear — the Artemis-style
-	// deeper exploration the paper defers to future work, §8). It takes
-	// effect only with Explore set.
+	// deeper exploration the paper defers to future work, §8). It implies
+	// Explore.
 	Exhaustive bool
 	// Filters enables the §5.3 report filters (form races and
 	// single-dispatch events).
@@ -370,7 +370,7 @@ func execute(site *loader.Site, cfg Config) *Result {
 	}
 	b.LoadPage(entry)
 	res := &Result{Site: site.Name, Browser: b, Metrics: m, Trace: tl}
-	if cfg.Explore {
+	if cfg.Explore || cfg.Exhaustive {
 		if cfg.Exhaustive {
 			res.ExploreStats = explore.Exhaustive(b, explore.Default(), 0)
 		} else {

@@ -1,6 +1,7 @@
 package webracer
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -316,6 +317,30 @@ document.getElementById("menu").onmouseover = function() {
 	}
 	if v, ok := res.Browser.Top().It.LookupGlobal("deep"); !ok || v.ToNumber() != 1 {
 		t.Error("nested handler not reached")
+	}
+}
+
+// TestExhaustiveImpliesExplore: Exhaustive alone explores, exactly as
+// Exhaustive with Explore does.
+func TestExhaustiveImpliesExplore(t *testing.T) {
+	site := loader.NewSite("nested").Add("index.html", `
+<div id="sub"></div>
+<div id="menu"></div>
+<script>
+document.getElementById("menu").onmouseover = function() {
+  document.getElementById("sub").onclick = function() { deep = 1; };
+};
+</script>`)
+	alone := RunConfig(site, Config{Seed: 1, Exhaustive: true})
+	both := RunConfig(site, Config{Seed: 1, Explore: true, Exhaustive: true})
+	if alone.ExploreStats.Rounds == 0 {
+		t.Fatal("Exhaustive alone ran no exploration rounds")
+	}
+	if alone.ExploreStats != both.ExploreStats {
+		t.Fatalf("explore stats: %+v alone, %+v with Explore", alone.ExploreStats, both.ExploreStats)
+	}
+	if a, b := exportBytes(t, alone, 1), exportBytes(t, both, 1); !bytes.Equal(a, b) {
+		t.Fatalf("sessions differ:\n%s\n%s", a, b)
 	}
 }
 
