@@ -12,7 +12,9 @@ import (
 )
 
 // installBindings populates the window's global scope with the browser API:
-// window, document, timers, XMLHttpRequest, Image, console, alert.
+// window, document, timers, XMLHttpRequest, Image, console, alert. The
+// window and document objects are made now; the rest of windowBuiltins is
+// reserved and built on first touch.
 func (w *Window) installBindings() {
 	it := w.It
 
@@ -25,43 +27,70 @@ func (w *Window) installBindings() {
 	docO.Host = &docHost{w: w}
 	w.docObj = js.ObjectVal(docO)
 
-	it.DefineGlobal("window", w.winObj)
-	it.DefineGlobal("self", w.winObj)
-	it.DefineGlobal("document", w.docObj)
+	it.Reserve(windowBuiltins, w)
+	// The origin's storage object draws its serial here, when the top
+	// window is made, whether or not a script ever reads it.
+	w.storageValue()
+}
 
-	it.DefineGlobal("setTimeout", it.NativeFunc("setTimeout", w.nativeSetTimeout))
-	it.DefineGlobal("setInterval", it.NativeFunc("setInterval", w.nativeSetInterval))
-	it.DefineGlobal("clearTimeout", it.NativeFunc("clearTimeout", w.nativeClearTimer))
-	it.DefineGlobal("clearInterval", it.NativeFunc("clearInterval", w.nativeClearTimer))
-	it.DefineGlobal("alert", it.NativeFunc("alert", func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
+// windowBuiltins are the browser-level globals of every window, in the
+// order their serials are drawn.
+var windowBuiltins = js.NewBuiltins(
+	windowValue("window", func(w *Window) js.Value { return w.winObj }),
+	windowValue("self", func(w *Window) js.Value { return w.winObj }),
+	windowValue("document", func(w *Window) js.Value { return w.docObj }),
+	windowNative("setTimeout", (*Window).nativeSetTimeout),
+	windowNative("setInterval", (*Window).nativeSetInterval),
+	windowNative("clearTimeout", (*Window).nativeClearTimer),
+	windowNative("clearInterval", (*Window).nativeClearTimer),
+	windowNative("alert", func(w *Window, _ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
 		w.b.Console = append(w.b.Console, "alert: "+joinArgs(args))
 		return js.Undefined, nil
-	}))
-	it.DefineGlobal("XMLHttpRequest", it.NativeFunc("XMLHttpRequest", w.nativeXHR))
-	it.DefineGlobal("Image", it.NativeFunc("Image", w.nativeImage))
+	}),
+	windowNative("XMLHttpRequest", (*Window).nativeXHR),
+	windowNative("Image", (*Window).nativeImage),
+	js.Builtin{Name: "console", Serials: 1 + len(consoleLevels), Build: func(it *js.Interp, host any) js.Value {
+		w := host.(*Window)
+		console := it.NewObject("Console")
+		for _, level := range consoleLevels {
+			console.SetProp(level, it.NativeFunc(level, func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
+				w.b.Console = append(w.b.Console, level+": "+joinArgs(args))
+				return js.Undefined, nil
+			}))
+		}
+		return js.ObjectVal(console)
+	}},
+	js.Builtin{Name: "location", Serials: 1, Build: func(it *js.Interp, host any) js.Value {
+		loc := it.NewObject("Location")
+		loc.SetProp("href", js.Str(host.(*Window).URL))
+		loc.SetProp("protocol", js.Str("https:"))
+		loc.SetProp("host", js.Str("example.test"))
+		return js.ObjectVal(loc)
+	}},
+	js.Builtin{Name: "navigator", Serials: 1, Build: func(it *js.Interp, _ any) js.Value {
+		nav := it.NewObject("Navigator")
+		nav.SetProp("userAgent", js.Str("WebRacer-Sim/1.0"))
+		return js.ObjectVal(nav)
+	}},
+	windowValue("localStorage", (*Window).storageValue),
+	windowValue("sessionStorage", (*Window).storageValue),
+)
 
-	console := it.NewObject("Console")
-	for _, level := range []string{"log", "warn", "error", "info", "debug"} {
-		level := level
-		console.SetProp(level, it.NativeFunc(level, func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-			w.b.Console = append(w.b.Console, level+": "+joinArgs(args))
-			return js.Undefined, nil
-		}))
-	}
-	it.DefineGlobal("console", js.ObjectVal(console))
+var consoleLevels = []string{"log", "warn", "error", "info", "debug"}
 
-	loc := it.NewObject("Location")
-	loc.SetProp("href", js.Str(w.URL))
-	loc.SetProp("protocol", js.Str("https:"))
-	loc.SetProp("host", js.Str("example.test"))
-	it.DefineGlobal("location", js.ObjectVal(loc))
+// windowValue is a browser global that is an existing value of the window.
+func windowValue(name string, v func(*Window) js.Value) js.Builtin {
+	return js.Builtin{Name: name, Build: func(_ *js.Interp, host any) js.Value { return v(host.(*Window)) }}
+}
 
-	nav := it.NewObject("Navigator")
-	nav.SetProp("userAgent", js.Str("WebRacer-Sim/1.0"))
-	it.DefineGlobal("navigator", js.ObjectVal(nav))
-
-	it.DefineGlobal("localStorage", w.storageValue())
-	it.DefineGlobal("sessionStorage", w.storageValue())
+// windowNative is a browser global function bound to its window.
+func windowNative(name string, fn func(w *Window, it *js.Interp, this js.Value, args []js.Value) (js.Value, error)) js.Builtin {
+	return js.Builtin{Name: name, Serials: 1, Build: func(it *js.Interp, host any) js.Value {
+		w := host.(*Window)
+		return it.NativeFunc(name, func(it *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+			return fn(w, it, this, args)
+		})
+	}}
 }
 
 // storageValue returns the origin-wide storage object (created on the top

@@ -262,6 +262,15 @@ func (b *Browser) Trace() []race.Access {
 	return b.recorder.Trace()
 }
 
+// EachTraceChunk calls f on the recorded access trace chunk by chunk, in
+// place (see race.Recorder.EachChunk); never when the trace was not
+// recorded.
+func (b *Browser) EachTraceChunk(f func([]race.Access)) {
+	if b.recorder != nil {
+		b.recorder.EachChunk(f)
+	}
+}
+
 // Top returns the top-level window (nil before LoadPage).
 func (b *Browser) Top() *Window { return b.top }
 

@@ -148,32 +148,48 @@ type phaseGroup struct {
 
 // propagationGroups builds the (phase, current target) handler groups of
 // one dispatch: capturing root→parent, at-target, bubbling parent→root.
+// The groups and the filtered listeners each take one allocation, sized
+// up front.
 func (w *Window) propagationGroups(target *dom.Node, event string, bubbles bool) []phaseGroup {
-	path := target.Path()
-	var groups []phaseGroup
-	// Capturing: ancestors top-down, capture listeners only.
-	for _, n := range path[:len(path)-1] {
-		groups = append(groups, phaseGroup{n, filterListeners(n, event, true)})
+	depth, total := 0, 0 // target's ancestors, and their listeners for event
+	for n := target.Parent; n != nil; n = n.Parent {
+		depth++
+		total += len(n.Listeners(event))
 	}
-	// At-target: all listeners in registration order.
-	groups = append(groups, phaseGroup{target, target.Listeners(event)})
-	// Bubbling: ancestors bottom-up, non-capture listeners.
+	size := depth + 1
 	if bubbles {
-		for i := len(path) - 2; i >= 0; i-- {
-			groups = append(groups, phaseGroup{path[i], filterListeners(path[i], event, false)})
+		size += depth
+	}
+	groups := make([]phaseGroup, size)
+	var buf []*dom.Listener
+	if total > 0 {
+		buf = make([]*dom.Listener, 0, total)
+	}
+	// Capturing: ancestors top-down, capture listeners only. Bubbling:
+	// ancestors bottom-up, non-capture listeners.
+	k := depth
+	for n := target.Parent; n != nil; n = n.Parent {
+		k--
+		groups[k] = phaseGroup{n, filterListeners(&buf, n, event, true)}
+		if bubbles {
+			groups[2*depth-k] = phaseGroup{n, filterListeners(&buf, n, event, false)}
 		}
 	}
+	// At-target: all listeners in registration order.
+	groups[depth] = phaseGroup{target, target.Listeners(event)}
 	return groups
 }
 
-func filterListeners(n *dom.Node, event string, capture bool) []*dom.Listener {
-	var out []*dom.Listener
+// filterListeners appends n's listeners for event in the given phase to
+// buf and returns them.
+func filterListeners(buf *[]*dom.Listener, n *dom.Node, event string, capture bool) []*dom.Listener {
+	start := len(*buf)
 	for _, l := range n.Listeners(event) {
 		if l.Capture == capture {
-			out = append(out, l)
+			*buf = append(*buf, l)
 		}
 	}
-	return out
+	return (*buf)[start:len(*buf):len(*buf)]
 }
 
 // runHandler executes one listener as operation h: the §4.3 handler-location
@@ -216,27 +232,47 @@ func (w *Window) listenerFunc(l *dom.Listener) (js.Value, error) {
 	}
 }
 
+// newEventObject makes the event object one handler receives. Its
+// methods are reserved, not built: each is made on first read, bound to
+// the dispatch's state.
 func (w *Window) newEventObject(event string, target *dom.Node, state *eventState) js.Value {
 	o := w.It.NewObject("Event")
+	o.Host = state
 	o.SetProp("type", js.Str(event))
 	o.SetProp("target", w.NodeValue(target))
 	o.SetProp("currentTarget", w.NodeValue(target))
-	o.SetProp("preventDefault", w.It.NativeFunc("preventDefault",
-		func(_ *js.Interp, _ js.Value, _ []js.Value) (js.Value, error) {
-			state.prevented = true
-			return js.Undefined, nil
-		}))
-	o.SetProp("stopPropagation", w.It.NativeFunc("stopPropagation",
-		func(_ *js.Interp, _ js.Value, _ []js.Value) (js.Value, error) {
-			state.stopped = true
-			return js.Undefined, nil
-		}))
-	o.SetProp("stopImmediatePropagation", w.It.NativeFunc("stopImmediatePropagation",
-		func(_ *js.Interp, _ js.Value, _ []js.Value) (js.Value, error) {
-			state.stopImmediate = true
-			return js.Undefined, nil
-		}))
+	w.It.ReserveMethod(o, "preventDefault")
+	w.It.ReserveMethod(o, "stopPropagation")
+	w.It.ReserveMethod(o, "stopImmediatePropagation")
 	return js.ObjectVal(o)
+}
+
+// HostGet implements js.HostObject: an event's properties are plain.
+func (s *eventState) HostGet(*js.Interp, string) (js.Value, bool, error) {
+	return js.Undefined, false, nil
+}
+
+// HostSet implements js.HostObject: an event's properties are plain.
+func (s *eventState) HostSet(*js.Interp, string, js.Value) (bool, error) { return false, nil }
+
+// BindMethod implements js.MethodBinder: the event methods set the
+// dispatch's flags.
+func (s *eventState) BindMethod(name string) js.NativeFn {
+	var flag *bool
+	switch name {
+	case "preventDefault":
+		flag = &s.prevented
+	case "stopPropagation":
+		flag = &s.stopped
+	case "stopImmediatePropagation":
+		flag = &s.stopImmediate
+	default:
+		panic("browser: no event method " + name)
+	}
+	return func(_ *js.Interp, _ js.Value, _ []js.Value) (js.Value, error) {
+		*flag = true
+		return js.Undefined, nil
+	}
 }
 
 // InlineDispatch fires an event from inside running script (element.click()

@@ -83,21 +83,25 @@ type Clocks struct {
 // registered before their successors began), which makes increasing-ID
 // order a topological order. NewClocks verifies that assumption eagerly and
 // panics otherwise; the property tests construct adversarial DAGs through
-// the same front door. The snapshot shares g's adjacency (it never adds
-// edges of its own).
+// the same front door. The snapshot shares g's adjacency lists (it never
+// adds edges of its own); only their headers are gathered into one
+// contiguous table per direction.
 func NewClocks(g *Graph) *Clocks {
-	// A snapshot adds no nodes or edges of its own, so the adjacency lists
-	// are shared with the graph rather than copied.
-	n := g.Len()
-	return snapshot(g, g.preds[:n:n], g.succs[:n:n])
+	preds := make([][]op.ID, g.n)
+	succs := make([][]op.ID, g.n)
+	for i := range preds {
+		nd := g.node(op.ID(i + 1))
+		preds[i], succs[i] = nd.preds, nd.succs
+	}
+	return snapshot(g, preds, succs)
 }
 
 // snapshot checks g's topological-ID invariant and wraps finished
 // adjacency lists over g's operations (g's own, or a subset of its edges)
 // as a Clocks whose epochs and clocks are all still to be computed.
 func snapshot(g *Graph, preds, succs [][]op.ID) *Clocks {
-	for i, ps := range g.preds {
-		for _, p := range ps {
+	for i := range g.n {
+		for _, p := range g.node(op.ID(i + 1)).preds {
 			if int(p) > i {
 				panic(fmt.Sprintf("hb: edge %d→%d violates topological ID order", p, i+1))
 			}

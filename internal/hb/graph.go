@@ -29,11 +29,14 @@ import (
 // Graph is a happens-before DAG over operation IDs. The zero value is ready
 // to use. Graph is not safe for concurrent use; the simulated browser is
 // single-threaded, mirroring the web platform (§2.1).
+//
+// Nodes live in fixed-size chunks that are never reallocated, so adding a
+// node never copies the ones before it: a run's graph grows one chunk at a
+// time instead of re-copying its node headers at every doubling.
 type Graph struct {
-	preds   [][]op.ID // preds[i] = direct predecessors of ID(i+1)
-	succs   [][]op.ID
-	closure []bitset // closure[i] = ancestor set of ID(i+1); nil if stale/unset
-	edges   int
+	chunks [][]node // chunks[i>>nodeChunkBits][i&(nodeChunk-1)] is ID(i+1)
+	n      int      // nodes the graph has room for
+	edges  int
 
 	// weak marks edges that order operations only because of the schedule
 	// the run happened to observe (HB rule 9's dispatch serialization), not
@@ -49,6 +52,26 @@ type Graph struct {
 	Mirror *LiveClocks
 }
 
+// node is one operation's adjacency and memoized ancestor set.
+type node struct {
+	preds   []op.ID // direct predecessors
+	succs   []op.ID
+	closure bitset // ancestor set; nil if stale/unset
+}
+
+// A chunk holds nodeChunk nodes: 32 nodes of 72 bytes fill one 2304-byte
+// size class exactly.
+const (
+	nodeChunkBits = 5
+	nodeChunk     = 1 << nodeChunkBits
+)
+
+// node returns id's node; id must be in 1..g.n.
+func (g *Graph) node(id op.ID) *node {
+	i := int(id) - 1
+	return &g.chunks[i>>nodeChunkBits][i&(nodeChunk-1)]
+}
+
 // NewGraph returns an empty happens-before graph.
 func NewGraph() *Graph { return &Graph{} }
 
@@ -62,10 +85,11 @@ func (g *Graph) AddNode(id op.ID) {
 }
 
 func (g *Graph) grow(id op.ID) {
-	for len(g.preds) < int(id) {
-		g.preds = append(g.preds, nil)
-		g.succs = append(g.succs, nil)
-		g.closure = append(g.closure, nil)
+	for g.n < int(id) {
+		if g.n&(nodeChunk-1) == 0 {
+			g.chunks = append(g.chunks, make([]node, nodeChunk))
+		}
+		g.n++
 	}
 }
 
@@ -79,7 +103,8 @@ func (g *Graph) Edge(a, b op.ID) {
 		return
 	}
 	g.grow(max(a, b))
-	for _, p := range g.preds[b-1] {
+	nb := g.node(b)
+	for _, p := range nb.preds {
 		if p == a {
 			// A causal rule asserting an edge previously added as weak
 			// promotes it: the ordering is not schedule-induced after all.
@@ -87,8 +112,9 @@ func (g *Graph) Edge(a, b op.ID) {
 			return
 		}
 	}
-	g.preds[b-1] = append(g.preds[b-1], a)
-	g.succs[a-1] = append(g.succs[a-1], b)
+	nb.preds = append(nb.preds, a)
+	na := g.node(a)
+	na.succs = append(na.succs, b)
 	g.invalidate(b)
 	g.edges++
 	if g.Mirror != nil {
@@ -108,13 +134,15 @@ func (g *Graph) WeakEdge(a, b op.ID) {
 		return
 	}
 	g.grow(max(a, b))
-	for _, p := range g.preds[b-1] {
+	nb := g.node(b)
+	for _, p := range nb.preds {
 		if p == a {
 			return
 		}
 	}
-	g.preds[b-1] = append(g.preds[b-1], a)
-	g.succs[a-1] = append(g.succs[a-1], b)
+	nb.preds = append(nb.preds, a)
+	na := g.node(a)
+	na.succs = append(na.succs, b)
 	g.invalidate(b)
 	g.edges++
 	if g.weak == nil {
@@ -170,17 +198,18 @@ func (g *Graph) StrongPreds(id op.ID) []op.ID {
 // computed ancestors-first, so a node whose closure is nil has only
 // nil-closure descendants; the walk prunes there.
 func (g *Graph) invalidate(id op.ID) {
-	if g.closure[id-1] == nil {
+	nd := g.node(id)
+	if nd.closure == nil {
 		return
 	}
-	g.closure[id-1] = nil
-	for _, s := range g.succs[id-1] {
+	nd.closure = nil
+	for _, s := range nd.succs {
 		g.invalidate(s)
 	}
 }
 
 // Len reports the number of nodes the graph has room for.
-func (g *Graph) Len() int { return len(g.preds) }
+func (g *Graph) Len() int { return g.n }
 
 // Edges reports the number of distinct edges added.
 func (g *Graph) Edges() int { return g.edges }
@@ -190,26 +219,26 @@ func (g *Graph) Edges() int { return g.edges }
 // the square of the operation count; clocks grow with ops × chains).
 func (g *Graph) MemoryBytes() int {
 	total := 0
-	for _, c := range g.closure {
-		total += len(c) * 8
+	for i := 1; i <= g.n; i++ {
+		total += len(g.node(op.ID(i)).closure) * 8
 	}
 	return total
 }
 
 // Preds returns the direct predecessors of id (shared slice; do not mutate).
 func (g *Graph) Preds(id op.ID) []op.ID {
-	if id == op.None || int(id) > len(g.preds) {
+	if id == op.None || int(id) > g.n {
 		return nil
 	}
-	return g.preds[id-1]
+	return g.node(id).preds
 }
 
 // Succs returns the direct successors of id (shared slice; do not mutate).
 func (g *Graph) Succs(id op.ID) []op.ID {
-	if id == op.None || int(id) > len(g.succs) {
+	if id == op.None || int(id) > g.n {
 		return nil
 	}
-	return g.succs[id-1]
+	return g.node(id).succs
 }
 
 // HappensBefore reports whether a ⇝ b in the transitive closure. An
@@ -218,7 +247,7 @@ func (g *Graph) HappensBefore(a, b op.ID) bool {
 	if a == b || a == op.None || b == op.None {
 		return false
 	}
-	if int(a) > len(g.preds) || int(b) > len(g.preds) {
+	if int(a) > g.n || int(b) > g.n {
 		return false
 	}
 	return g.ancestors(b).has(uint(a - 1))
@@ -238,25 +267,25 @@ func (g *Graph) Concurrent(a, b op.ID) bool {
 // of id. The recursion is converted to an explicit stack: pages can produce
 // long parse chains that would overflow the goroutine stack.
 func (g *Graph) ancestors(id op.ID) bitset {
-	if c := g.closure[id-1]; c != nil {
+	if c := g.node(id).closure; c != nil {
 		return c
 	}
-	words := (len(g.preds) + 63) / 64
+	words := (g.n + 63) / 64
 	// Iterative post-order over the not-yet-memoized ancestors.
 	type frame struct {
-		id   op.ID
+		nd   *node
 		next int // next predecessor index to visit
 	}
-	stack := []frame{{id: id}}
+	stack := []frame{{nd: g.node(id)}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		ps := g.preds[f.id-1]
+		ps := f.nd.preds
 		advanced := false
 		for f.next < len(ps) {
-			p := ps[f.next]
+			p := g.node(ps[f.next])
 			f.next++
-			if g.closure[p-1] == nil {
-				stack = append(stack, frame{id: p})
+			if p.closure == nil {
+				stack = append(stack, frame{nd: p})
 				advanced = true
 				break
 			}
@@ -268,12 +297,12 @@ func (g *Graph) ancestors(id op.ID) bitset {
 		c := make(bitset, words)
 		for _, p := range ps {
 			c.set(uint(p - 1))
-			c.or(g.closure[p-1])
+			c.or(g.node(p).closure)
 		}
-		g.closure[f.id-1] = c
+		f.nd.closure = c
 		stack = stack[:len(stack)-1]
 	}
-	return g.closure[id-1]
+	return g.node(id).closure
 }
 
 // bitset is a fixed-capacity bit vector.

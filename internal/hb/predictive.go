@@ -24,7 +24,7 @@ func NewPredictiveClocks(g *Graph) *Clocks {
 	succs := make([][]op.ID, n)
 	for i := 1; i <= n; i++ {
 		id := op.ID(i)
-		for _, p := range g.preds[i-1] {
+		for _, p := range g.node(id).preds {
 			if !g.IsWeak(p, id) {
 				preds[i-1] = append(preds[i-1], p)
 				succs[p-1] = append(succs[p-1], id)

@@ -7,178 +7,209 @@ import (
 	"strings"
 )
 
-// installBuiltins defines the language-level globals every page gets.
-// Browser-level globals (window, document, setTimeout, …) are installed by
-// the browser package.
-func (it *Interp) installBuiltins() {
-	it.DefineGlobal("NaN", Number(math.NaN()))
-	it.DefineGlobal("Infinity", Number(math.Inf(1)))
-	it.DefineGlobal("Math", ObjectVal(it.mathObject()))
-	it.DefineGlobal("JSON", ObjectVal(it.jsonObject()))
-	it.DefineGlobal("Date", it.dateConstructor())
+// coreBuiltins are the language-level globals every page gets, in the
+// order their serials are drawn (see Reserve). Browser-level globals
+// (window, document, setTimeout, …) are the browser package's table.
+var coreBuiltins = NewBuiltins(
+	constant("NaN", Number(math.NaN())),
+	constant("Infinity", Number(math.Inf(1))),
+	Builtin{Name: "Math", Serials: 1 + len(mathMethods), Build: func(it *Interp, _ any) Value { return ObjectVal(it.mathObject()) }},
+	Builtin{Name: "JSON", Serials: 3, Build: func(it *Interp, _ any) Value { return ObjectVal(it.jsonObject()) }},
+	Builtin{Name: "Date", Serials: 2, Build: func(it *Interp, _ any) Value { return it.dateConstructor() }},
+	native("parseInt", nativeParseInt),
+	native("parseFloat", nativeParseFloat),
+	native("isNaN", nativeIsNaN),
+	constructor("String", nativeString, "fromCharCode", method(nativeFromCharCode)),
+	native("encodeURIComponent", nativeEncodeURIComponent),
+	native("decodeURIComponent", nativeDecodeURIComponent),
+	native("Number", nativeNumber),
+	native("Boolean", nativeBoolean),
+	constructor("Array", nativeArray, "isArray", method(nativeIsArray)),
+	constructor("Object", nativeObject, "keys", method(nativeObjectKeys)),
+	native("Error", nativeError),
+)
 
-	it.DefineGlobal("parseInt", it.NativeFunc("parseInt", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Number(math.NaN()), nil
+// constant is a builtin global that is a plain value.
+func constant(name string, v Value) Builtin {
+	return Builtin{Name: name, Build: func(*Interp, any) Value { return v }}
+}
+
+// native is a builtin global function.
+func native(name string, fn NativeFn) Builtin {
+	return Builtin{Name: name, Serials: 1, Build: func(it *Interp, _ any) Value { return it.NativeFunc(name, fn) }}
+}
+
+// constructor is a builtin global function with one static method.
+func constructor(name string, fn NativeFn, member string, template *Object) Builtin {
+	return Builtin{Name: name, Serials: 2, Build: func(it *Interp, _ any) Value {
+		v := it.NativeFunc(name, fn)
+		it.reserveNative(v.Obj, member, template)
+		return v
+	}}
+}
+
+func nativeParseInt(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Number(math.NaN()), nil
+	}
+	s := strings.TrimSpace(args[0].ToString())
+	base := 10
+	if len(args) > 1 {
+		if b := int(args[1].ToNumber()); b >= 2 && b <= 36 {
+			base = b
 		}
-		s := strings.TrimSpace(args[0].ToString())
-		base := 10
-		if len(args) > 1 {
-			if b := int(args[1].ToNumber()); b >= 2 && b <= 36 {
-				base = b
+	}
+	neg := false
+	if strings.HasPrefix(s, "-") {
+		neg = true
+		s = s[1:]
+	} else {
+		s = strings.TrimPrefix(s, "+")
+	}
+	if base == 16 || base == 10 {
+		if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
+			s = s[2:]
+			base = 16
+		}
+	}
+	// Longest valid prefix.
+	end := 0
+	for end < len(s) {
+		d := digitVal(s[end])
+		if d < 0 || d >= base {
+			break
+		}
+		end++
+	}
+	if end == 0 {
+		return Number(math.NaN()), nil
+	}
+	n, err := strconv.ParseInt(s[:end], base, 64)
+	if err != nil {
+		return Number(math.NaN()), nil
+	}
+	f := float64(n)
+	if neg {
+		f = -f
+	}
+	return Number(f), nil
+}
+
+func nativeParseFloat(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Number(math.NaN()), nil
+	}
+	f, ok := floatPrefix(strings.TrimSpace(args[0].ToString()))
+	if !ok {
+		return Number(math.NaN()), nil
+	}
+	return Number(f), nil
+}
+
+func nativeIsNaN(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return True, nil
+	}
+	return Boolean(math.IsNaN(args[0].ToNumber())), nil
+}
+
+func nativeString(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Str(""), nil
+	}
+	return Str(args[0].ToString()), nil
+}
+
+func nativeFromCharCode(_ *Interp, _ Value, args []Value) (Value, error) {
+	b := make([]rune, 0, len(args))
+	for _, a := range args {
+		b = append(b, rune(int(a.ToNumber())))
+	}
+	return Str(string(b)), nil
+}
+
+func nativeEncodeURIComponent(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Str("undefined"), nil
+	}
+	return Str(uriEncode(args[0].ToString())), nil
+}
+
+func nativeDecodeURIComponent(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Str("undefined"), nil
+	}
+	s, err := uriDecode(args[0].ToString())
+	if err != nil {
+		return Undefined, &Error{Kind: "URIError", Msg: "malformed URI sequence"}
+	}
+	return Str(s), nil
+}
+
+func nativeNumber(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return Number(0), nil
+	}
+	return Number(args[0].ToNumber()), nil
+}
+
+func nativeBoolean(_ *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 0 {
+		return False, nil
+	}
+	return Boolean(args[0].Truthy()), nil
+}
+
+func nativeArray(it *Interp, _ Value, args []Value) (Value, error) {
+	if len(args) == 1 && args[0].Kind == KindNumber {
+		n := int(args[0].Num)
+		arr := it.NewArray()
+		for i := 0; i < n; i++ {
+			arr.Elems = append(arr.Elems, Undefined)
+		}
+		return ObjectVal(arr), nil
+	}
+	return ObjectVal(it.NewArray(args...)), nil
+}
+
+func nativeIsArray(_ *Interp, _ Value, args []Value) (Value, error) {
+	return Boolean(len(args) > 0 && args[0].Kind == KindObject && args[0].Obj.IsArray), nil
+}
+
+func nativeObject(it *Interp, _ Value, args []Value) (Value, error) {
+	return ObjectVal(it.NewObject("Object")), nil
+}
+
+func nativeObjectKeys(it *Interp, _ Value, args []Value) (Value, error) {
+	out := it.NewArray()
+	if len(args) > 0 && args[0].Kind == KindObject {
+		o := args[0].Obj
+		if o.IsArray {
+			for i := range o.Elems {
+				out.Elems = append(out.Elems, Str(NumToString(float64(i))))
 			}
-		}
-		neg := false
-		if strings.HasPrefix(s, "-") {
-			neg = true
-			s = s[1:]
 		} else {
-			s = strings.TrimPrefix(s, "+")
-		}
-		if base == 16 || base == 10 {
-			if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-				s = s[2:]
-				base = 16
+			for _, k := range o.Keys() {
+				out.Elems = append(out.Elems, Str(k))
 			}
 		}
-		// Longest valid prefix.
-		end := 0
-		for end < len(s) {
-			d := digitVal(s[end])
-			if d < 0 || d >= base {
-				break
-			}
-			end++
-		}
-		if end == 0 {
-			return Number(math.NaN()), nil
-		}
-		n, err := strconv.ParseInt(s[:end], base, 64)
-		if err != nil {
-			return Number(math.NaN()), nil
-		}
-		f := float64(n)
-		if neg {
-			f = -f
-		}
-		return Number(f), nil
-	}))
+	}
+	return ObjectVal(out), nil
+}
 
-	it.DefineGlobal("parseFloat", it.NativeFunc("parseFloat", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Number(math.NaN()), nil
-		}
-		f, ok := floatPrefix(strings.TrimSpace(args[0].ToString()))
-		if !ok {
-			return Number(math.NaN()), nil
-		}
-		return Number(f), nil
-	}))
-
-	it.DefineGlobal("isNaN", it.NativeFunc("isNaN", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return True, nil
-		}
-		return Boolean(math.IsNaN(args[0].ToNumber())), nil
-	}))
-
-	strCtor := it.NativeFunc("String", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Str(""), nil
-		}
-		return Str(args[0].ToString()), nil
-	})
-	strCtor.Obj.SetProp("fromCharCode", it.NativeFunc("fromCharCode", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		b := make([]rune, 0, len(args))
-		for _, a := range args {
-			b = append(b, rune(int(a.ToNumber())))
-		}
-		return Str(string(b)), nil
-	}))
-	it.DefineGlobal("String", strCtor)
-
-	it.DefineGlobal("encodeURIComponent", it.NativeFunc("encodeURIComponent", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Str("undefined"), nil
-		}
-		return Str(uriEncode(args[0].ToString())), nil
-	}))
-	it.DefineGlobal("decodeURIComponent", it.NativeFunc("decodeURIComponent", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Str("undefined"), nil
-		}
-		s, err := uriDecode(args[0].ToString())
-		if err != nil {
-			return Undefined, &Error{Kind: "URIError", Msg: "malformed URI sequence"}
-		}
-		return Str(s), nil
-	}))
-
-	it.DefineGlobal("Number", it.NativeFunc("Number", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return Number(0), nil
-		}
-		return Number(args[0].ToNumber()), nil
-	}))
-
-	it.DefineGlobal("Boolean", it.NativeFunc("Boolean", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 0 {
-			return False, nil
-		}
-		return Boolean(args[0].Truthy()), nil
-	}))
-
-	arrayCtor := it.NativeFunc("Array", func(it *Interp, _ Value, args []Value) (Value, error) {
-		if len(args) == 1 && args[0].Kind == KindNumber {
-			n := int(args[0].Num)
-			arr := it.NewArray()
-			for i := 0; i < n; i++ {
-				arr.Elems = append(arr.Elems, Undefined)
-			}
-			return ObjectVal(arr), nil
-		}
-		return ObjectVal(it.NewArray(args...)), nil
-	})
-	arrayCtor.Obj.SetProp("isArray", it.NativeFunc("isArray", func(_ *Interp, _ Value, args []Value) (Value, error) {
-		return Boolean(len(args) > 0 && args[0].Kind == KindObject && args[0].Obj.IsArray), nil
-	}))
-	it.DefineGlobal("Array", arrayCtor)
-
-	objectCtor := it.NativeFunc("Object", func(it *Interp, _ Value, args []Value) (Value, error) {
-		return ObjectVal(it.NewObject("Object")), nil
-	})
-	objectCtor.Obj.SetProp("keys", it.NativeFunc("keys", func(it *Interp, _ Value, args []Value) (Value, error) {
-		out := it.NewArray()
-		if len(args) > 0 && args[0].Kind == KindObject {
-			o := args[0].Obj
-			if o.IsArray {
-				for i := range o.Elems {
-					out.Elems = append(out.Elems, Str(NumToString(float64(i))))
-				}
-			} else {
-				for _, k := range o.Keys() {
-					out.Elems = append(out.Elems, Str(k))
-				}
-			}
-		}
-		return ObjectVal(out), nil
-	}))
-	it.DefineGlobal("Object", objectCtor)
-
-	it.DefineGlobal("Error", it.NativeFunc("Error", func(it *Interp, this Value, args []Value) (Value, error) {
-		o := this.Obj
-		if this.Kind != KindObject || o == nil || o.Fn != nil {
-			o = it.NewObject("Error")
-		}
-		msg := ""
-		if len(args) > 0 {
-			msg = args[0].ToString()
-		}
-		o.SetProp("name", Str("Error"))
-		o.SetProp("message", Str(msg))
-		o.SetProp("__str__", Str("Error: "+msg))
-		return ObjectVal(o), nil
-	}))
+func nativeError(it *Interp, this Value, args []Value) (Value, error) {
+	o := this.Obj
+	if this.Kind != KindObject || o == nil || o.Fn != nil {
+		o = it.NewObject("Error")
+	}
+	msg := ""
+	if len(args) > 0 {
+		msg = args[0].ToString()
+	}
+	o.SetProp("name", Str("Error"))
+	o.SetProp("message", Str(msg))
+	o.SetProp("__str__", Str("Error: "+msg))
+	return ObjectVal(o), nil
 }
 
 // uriEncode implements encodeURIComponent's escaping (unreserved marks
@@ -233,54 +264,72 @@ func (it *Interp) mathObject() *Object {
 	m := it.NewObject("Math")
 	m.SetProp("PI", Number(math.Pi))
 	m.SetProp("E", Number(math.E))
-	one := func(name string, f func(float64) float64) {
-		m.SetProp(name, it.NativeFunc(name, func(_ *Interp, _ Value, args []Value) (Value, error) {
-			if len(args) == 0 {
-				return Number(math.NaN()), nil
-			}
-			return Number(f(args[0].ToNumber())), nil
-		}))
+	for _, f := range mathMethods {
+		it.reserveNative(m, f.name, f.template)
 	}
-	one("floor", math.Floor)
-	one("ceil", math.Ceil)
-	one("round", func(f float64) float64 { return math.Floor(f + 0.5) })
-	one("abs", math.Abs)
-	one("sqrt", math.Sqrt)
-	one("sin", math.Sin)
-	one("cos", math.Cos)
-	one("log", math.Log)
-	one("exp", math.Exp)
-	m.SetProp("pow", it.NativeFunc("pow", func(_ *Interp, _ Value, args []Value) (Value, error) {
+	return m
+}
+
+// mathMethods are Math's methods in property order.
+var mathMethods = []struct {
+	name     string
+	template *Object
+}{
+	{"floor", unaryMath(math.Floor)},
+	{"ceil", unaryMath(math.Ceil)},
+	{"round", unaryMath(func(f float64) float64 { return math.Floor(f + 0.5) })},
+	{"abs", unaryMath(math.Abs)},
+	{"sqrt", unaryMath(math.Sqrt)},
+	{"sin", unaryMath(math.Sin)},
+	{"cos", unaryMath(math.Cos)},
+	{"log", unaryMath(math.Log)},
+	{"exp", unaryMath(math.Exp)},
+	{"pow", method(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		if len(args) < 2 {
 			return Number(math.NaN()), nil
 		}
 		return Number(math.Pow(args[0].ToNumber(), args[1].ToNumber())), nil
-	}))
-	m.SetProp("max", it.NativeFunc("max", func(_ *Interp, _ Value, args []Value) (Value, error) {
+	})},
+	{"max", method(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		best := math.Inf(-1)
 		for _, a := range args {
 			best = math.Max(best, a.ToNumber())
 		}
 		return Number(best), nil
-	}))
-	m.SetProp("min", it.NativeFunc("min", func(_ *Interp, _ Value, args []Value) (Value, error) {
+	})},
+	{"min", method(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		best := math.Inf(1)
 		for _, a := range args {
 			best = math.Min(best, a.ToNumber())
 		}
 		return Number(best), nil
-	}))
-	m.SetProp("random", it.NativeFunc("random", func(it *Interp, _ Value, _ []Value) (Value, error) {
+	})},
+	{"random", method(func(it *Interp, _ Value, _ []Value) (Value, error) {
 		return Number(it.Rand()), nil
-	}))
-	return m
+	})},
+}
+
+// unaryMath is the template of a one-argument Math method.
+func unaryMath(f func(float64) float64) *Object {
+	return method(func(_ *Interp, _ Value, args []Value) (Value, error) {
+		if len(args) == 0 {
+			return Number(math.NaN()), nil
+		}
+		return Number(f(args[0].ToNumber())), nil
+	})
 }
 
 // jsonObject provides JSON.stringify/parse for the subset of values the
 // interpreter supports (no cycles detected beyond a depth cap).
 func (it *Interp) jsonObject() *Object {
 	j := it.NewObject("JSON")
-	j.SetProp("stringify", it.NativeFunc("stringify", func(_ *Interp, _ Value, args []Value) (Value, error) {
+	it.reserveNative(j, "stringify", jsonStringify)
+	it.reserveNative(j, "parse", jsonParse)
+	return j
+}
+
+var (
+	jsonStringify = method(func(_ *Interp, _ Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return Undefined, nil
 		}
@@ -289,8 +338,8 @@ func (it *Interp) jsonObject() *Object {
 			return Undefined, err
 		}
 		return Str(b.String()), nil
-	}))
-	j.SetProp("parse", it.NativeFunc("parse", func(it *Interp, _ Value, args []Value) (Value, error) {
+	})
+	jsonParse = method(func(it *Interp, _ Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return Undefined, typeError(0, "JSON.parse requires an argument")
 		}
@@ -300,9 +349,8 @@ func (it *Interp) jsonObject() *Object {
 			return Undefined, err
 		}
 		return v, nil
-	}))
-	return j
-}
+	})
+)
 
 func jsonEncode(b *strings.Builder, v Value, depth int) error {
 	if depth > 64 {
@@ -479,27 +527,31 @@ func (p *jsonParser) str() (string, error) {
 // dateConstructor provides Date.now and a minimal new Date() whose
 // getTime() reads the browser's virtual clock.
 func (it *Interp) dateConstructor() Value {
-	d := it.NativeFunc("Date", func(it *Interp, this Value, args []Value) (Value, error) {
-		o := this.Obj
-		if this.Kind != KindObject || o == nil || o.Fn != nil {
-			o = it.NewObject("Date")
-		}
-		t := it.Now()
-		if len(args) > 0 {
-			t = args[0].ToNumber()
-		}
-		o.SetProp("__time__", Number(t))
-		o.SetProp("getTime", it.NativeFunc("getTime", func(_ *Interp, _ Value, _ []Value) (Value, error) {
-			return Number(t), nil
-		}))
-		o.SetProp("__str__", Str("[Date "+NumToString(t)+"]"))
-		return ObjectVal(o), nil
-	})
-	d.Obj.SetProp("now", it.NativeFunc("now", func(it *Interp, _ Value, _ []Value) (Value, error) {
-		return Number(it.Now()), nil
-	}))
+	d := it.NativeFunc("Date", nativeDate)
+	it.reserveNative(d.Obj, "now", dateNow)
 	return d
 }
+
+func nativeDate(it *Interp, this Value, args []Value) (Value, error) {
+	o := this.Obj
+	if this.Kind != KindObject || o == nil || o.Fn != nil {
+		o = it.NewObject("Date")
+	}
+	t := it.Now()
+	if len(args) > 0 {
+		t = args[0].ToNumber()
+	}
+	o.SetProp("__time__", Number(t))
+	o.SetProp("getTime", it.NativeFunc("getTime", func(_ *Interp, _ Value, _ []Value) (Value, error) {
+		return Number(t), nil
+	}))
+	o.SetProp("__str__", Str("[Date "+NumToString(t)+"]"))
+	return ObjectVal(o), nil
+}
+
+var dateNow = method(func(it *Interp, _ Value, _ []Value) (Value, error) {
+	return Number(it.Now()), nil
+})
 
 // stringMember implements property access on string primitives.
 func (it *Interp) stringMember(s, name string, line int) (Value, error) {

@@ -985,7 +985,7 @@ func (it *Interp) call(fn *Closure, this Value, args []Value, line int) (Value, 
 	if decl.ArgsRef != nil {
 		env.slots[decl.ArgsRef.Slot].Value = ObjectVal(it.NewArray(args...))
 	} else {
-		it.serials.Next()
+		it.nextSerial()
 	}
 	it.hoistInto(decl.Body, env)
 	c, err := it.execStmts(decl.Body.Body, env)

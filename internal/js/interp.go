@@ -66,10 +66,13 @@ type Interp struct {
 
 	global  *Env
 	serials Serials
-	hooks   Hooks
-	steps   int
-	total   int // steps across all Run/CallFunction entries (telemetry)
-	depth   int
+	// building..buildEnd are the reserved serials left to the builtin
+	// being built (see Reserve); building is 0 otherwise.
+	building, buildEnd uint64
+	hooks              Hooks
+	steps              int
+	total              int // steps across all Run/CallFunction entries (telemetry)
+	depth              int
 }
 
 // maxDepth bounds recursion (JS stack overflow becomes RangeError).
@@ -77,7 +80,8 @@ const maxDepth = 2000
 
 // New creates an interpreter with a fresh global scope and the standard
 // builtins (Math, parseInt, parseFloat, isNaN, String, Number, Boolean,
-// Array). The browser adds window/document on top.
+// Array, …), reserved: each is built when a script first touches it (see
+// Reserve). The browser adds window/document on top.
 func New(serials Serials, hooks Hooks) *Interp {
 	it := &Interp{
 		MaxSteps: DefaultMaxSteps,
@@ -87,7 +91,7 @@ func New(serials Serials, hooks Hooks) *Interp {
 		Now:      func() float64 { return 0 },
 	}
 	it.global = &Env{vars: make(map[string]*Binding), GlobalSerial: serials.Next()}
-	it.installBuiltins()
+	it.Reserve(coreBuiltins, nil)
 	return it
 }
 
@@ -111,7 +115,7 @@ func (it *Interp) DefineGlobal(name string, v Value) {
 
 // LookupGlobal reads a global binding without instrumentation.
 func (it *Interp) LookupGlobal(name string) (Value, bool) {
-	if b, ok := it.global.vars[name]; ok {
+	if b := it.global.global(name); b != nil {
 		return b.Value, true
 	}
 	return Value{}, false
@@ -119,7 +123,7 @@ func (it *Interp) LookupGlobal(name string) (Value, bool) {
 
 // NewObject allocates a plain object.
 func (it *Interp) NewObject(class string) *Object {
-	return &Object{Serial: it.serials.Next(), Class: class}
+	return &Object{Serial: it.nextSerial(), Class: class}
 }
 
 // NewArray allocates an array object with the given elements.
@@ -255,7 +259,7 @@ func (it *Interp) declare(b *Binding, ref *VarRef) {
 	if !ref.Captured {
 		return
 	}
-	s := it.serials.Next()
+	s := it.nextSerial()
 	if ref.declShared && b.Serial == 0 {
 		b.Serial = s
 	}

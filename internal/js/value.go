@@ -229,9 +229,13 @@ func (o *Object) SetProp(name string, v Value) {
 	o.Props[name] = v
 }
 
-// GetProp loads a property without instrumentation.
+// GetProp loads a property without instrumentation. A reserved method
+// is built on its first read.
 func (o *Object) GetProp(name string) (Value, bool) {
 	v, ok := o.Props[name]
+	if v.Kind == kindReserved {
+		v = o.buildMethod(name, v)
+	}
 	return v, ok
 }
 
@@ -304,6 +308,7 @@ type Env struct {
 	slots  []Binding
 	scope  *Scope              // slot names; nil for the global scope
 	vars   map[string]*Binding // the global scope's bindings
+	realm  *realm              // the global scope's reserved builtins
 	// GlobalSerial is non-zero on the global env: the identity used for
 	// global variable locations.
 	GlobalSerial uint64
@@ -344,13 +349,22 @@ func (e *Env) binding(at Addr, name string) (*Binding, *Env) {
 	if at.Slot >= 0 {
 		return &e.slots[at.Slot], e
 	}
-	return e.vars[name], e
+	return e.global(name), e
+}
+
+// global returns the global binding name of the global scope e, building
+// it if it is a reserved builtin; nil if name is not defined.
+func (e *Env) global(name string) *Binding {
+	if b, ok := e.vars[name]; ok {
+		return b
+	}
+	return e.reservedGlobal(name)
 }
 
 // declareGlobal creates (or returns the existing) global binding name in
 // the global scope e.
 func (e *Env) declareGlobal(name string) *Binding {
-	if b, ok := e.vars[name]; ok {
+	if b := e.global(name); b != nil {
 		return b
 	}
 	b := &Binding{}

@@ -101,16 +101,29 @@ func (o Op) String() string {
 }
 
 // Table owns the set of operations of one execution. The zero value is
-// ready to use.
+// ready to use. Operations live in fixed-size chunks that are never
+// reallocated, so registering one never copies the ones before it.
 type Table struct {
-	ops []Op // index = ID-1
-	seq int32
+	chunks [][]Op // chunks[i>>opChunkBits][i&(opChunk-1)] is ID(i+1)
+	n      int
+	seq    int32
 }
+
+// A chunk holds opChunk operations: 64 ops of 32 bytes fill one 2 KiB
+// size class exactly.
+const (
+	opChunkBits = 6
+	opChunk     = 1 << opChunkBits
+)
 
 // New registers a new operation of the given kind and returns its ID.
 func (t *Table) New(kind Kind, label string) ID {
-	id := ID(len(t.ops) + 1)
-	t.ops = append(t.ops, Op{ID: id, Kind: kind, Label: label, Seq: -1})
+	if t.n&(opChunk-1) == 0 {
+		t.chunks = append(t.chunks, make([]Op, opChunk))
+	}
+	t.n++
+	id := ID(t.n)
+	*t.get(id) = Op{ID: id, Kind: kind, Label: label, Seq: -1}
 	return id
 }
 
@@ -129,15 +142,16 @@ func (t *Table) Began(id ID) {
 func (t *Table) Get(id ID) Op { return *t.get(id) }
 
 // Len reports how many operations have been registered.
-func (t *Table) Len() int { return len(t.ops) }
+func (t *Table) Len() int { return t.n }
 
 // SetLabel replaces an operation's label (used when the label is only known
 // after registration, e.g. the URL of a script-inserted script).
 func (t *Table) SetLabel(id ID, label string) { t.get(id).Label = label }
 
 func (t *Table) get(id ID) *Op {
-	if id <= None || int(id) > len(t.ops) {
-		panic(fmt.Sprintf("op: invalid ID %d (have %d ops)", id, len(t.ops)))
+	if id <= None || int(id) > t.n {
+		panic(fmt.Sprintf("op: invalid ID %d (have %d ops)", id, t.n))
 	}
-	return &t.ops[id-1]
+	i := int(id) - 1
+	return &t.chunks[i>>opChunkBits][i&(opChunk-1)]
 }

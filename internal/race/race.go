@@ -158,16 +158,18 @@ type PairwiseStats struct {
 // and therefore before anything later on that chain. The certificate side
 // is adaptive in the FastTrack sense: a location read from one chain
 // carries at most a single certificate inline (cert); reads from a second
-// chain promote it to certs, kept sorted by chain (read-shared); the next
-// write demotes the location back to the inline form, since certificates
-// describe only the write they were minted against.
+// chain promote it to a certificate set kept sorted by chain (read-shared)
+// out of line, in the detector's certSets at index certs; the next write
+// demotes the location back to the inline form, since certificates
+// describe only the write they were minted against. The word holds no
+// pointer and takes 60 bytes.
 type pairWord struct {
 	write   rec
 	read    rec
 	writeEp hb.Epoch
 	readEp  hb.Epoch
 	cert    hb.Epoch
-	certs   []hb.Epoch
+	certs   int32 // 1 + index into certSets; 0 until the first promotion
 	gen     uint32
 	flags   uint8
 }
@@ -191,6 +193,8 @@ type Pairwise struct {
 	oracle    hb.Oracle
 	epochs    hb.EpochOracle // non-nil when the epoch fast path is active
 	shadow    locTable[pairWord]
+	descs     descTable
+	certSets  [][]hb.Epoch // promoted certificate sets, kept for reuse
 	reports   []Report
 	reportAll bool
 	stats     PairwiseStats
@@ -242,7 +246,7 @@ func (d *Pairwise) concurrentEpoch(s *pairWord, prior op.ID, pe *hb.Epoch, isWri
 		// the certificates minted under the old decomposition.
 		s.gen = gen
 		s.flags &^= pwHasCert | pwShared
-		s.certs = s.certs[:0]
+		d.clearCerts(s)
 		s.writeEp = epochUnfetched
 		s.readEp = epochUnfetched
 	}
@@ -263,7 +267,7 @@ func (d *Pairwise) concurrentEpoch(s *pairWord, prior op.ID, pe *hb.Epoch, isWri
 		d.stats.EpochHits++
 		return false
 	}
-	if isWrite && s.certified(*ce) {
+	if isWrite && d.certified(s, *ce) {
 		// Certificate hit: the write is known ordered before an earlier
 		// point of cur's chain, hence before cur.
 		d.stats.EpochHits++
@@ -282,19 +286,20 @@ func (d *Pairwise) concurrentEpoch(s *pairWord, prior op.ID, pe *hb.Epoch, isWri
 
 // certified reports a certificate for chain@pos: the write is ordered
 // before e's chain at or before e's position.
-func (s *pairWord) certified(e hb.Epoch) bool {
+func (d *Pairwise) certified(s *pairWord, e hb.Epoch) bool {
 	if s.flags&pwHasCert != 0 {
 		return s.cert.Chain == e.Chain && s.cert.Pos <= e.Pos
 	}
 	if s.flags&pwShared != 0 {
-		i, ok := s.findCert(e.Chain)
-		return ok && s.certs[i].Pos <= e.Pos
+		certs := d.certSets[s.certs-1]
+		i, ok := findCert(certs, e.Chain)
+		return ok && certs[i].Pos <= e.Pos
 	}
 	return false
 }
 
-func (s *pairWord) findCert(chain int32) (int, bool) {
-	return slices.BinarySearchFunc(s.certs, chain, func(c hb.Epoch, ch int32) int { return cmp.Compare(c.Chain, ch) })
+func findCert(certs []hb.Epoch, chain int32) (int, bool) {
+	return slices.BinarySearchFunc(certs, chain, func(c hb.Epoch, ch int32) int { return cmp.Compare(c.Chain, ch) })
 }
 
 // certify records that the current write happens before chain@pos,
@@ -314,14 +319,27 @@ func (d *Pairwise) certify(s *pairWord, e hb.Epoch) {
 			return
 		}
 		// Read-share promotion: certificates now span chains.
-		s.certs = append(s.certs[:0], s.cert)
+		if s.certs == 0 {
+			d.certSets = append(d.certSets, nil)
+			s.certs = int32(len(d.certSets))
+		}
+		d.certSets[s.certs-1] = append(d.certSets[s.certs-1][:0], s.cert)
 		s.flags = s.flags&^pwHasCert | pwShared
 		d.stats.Promotions++
 	}
-	if i, ok := s.findCert(e.Chain); !ok {
-		s.certs = slices.Insert(s.certs, i, e)
-	} else if e.Pos < s.certs[i].Pos {
-		s.certs[i].Pos = e.Pos
+	certs := &d.certSets[s.certs-1]
+	if i, ok := findCert(*certs, e.Chain); !ok {
+		*certs = slices.Insert(*certs, i, e)
+	} else if e.Pos < (*certs)[i].Pos {
+		(*certs)[i].Pos = e.Pos
+	}
+}
+
+// clearCerts empties s's promoted certificate set, keeping its storage
+// for the next promotion.
+func (d *Pairwise) clearCerts(s *pairWord) {
+	if s.certs != 0 {
+		d.certSets[s.certs-1] = d.certSets[s.certs-1][:0]
 	}
 }
 
@@ -335,7 +353,7 @@ func (d *Pairwise) demote(s *pairWord) {
 		d.stats.Demotions++
 	}
 	s.flags &^= pwHasCert | pwShared
-	s.certs = s.certs[:0]
+	d.clearCerts(s)
 }
 
 // OnAccess implements Detector. A location the admission predicate
@@ -352,10 +370,10 @@ func (d *Pairwise) OnAccess(a Access) {
 		// plain path pays full queries for). Cached epochs go stale but
 		// are never read again for this location.
 		if a.Kind == mem.Read {
-			s.read = recOf(a)
+			s.read = d.descs.rec(a, s.read.desc)
 			s.flags |= pwHasRead
 		} else {
-			s.write = recOf(a)
+			s.write = d.descs.rec(a, s.write.desc)
 			s.flags |= pwHasWrite
 			d.demote(s)
 		}
@@ -370,7 +388,7 @@ func (d *Pairwise) OnAccess(a Access) {
 		if s.flags&pwHasWrite != 0 && d.concurrent(s, s.write.op, &s.writeEp, true, a.Op, &ce) {
 			d.report(s, s.write, a, false)
 		}
-		s.read, s.readEp = recOf(a), ce
+		s.read, s.readEp = d.descs.rec(a, s.read.desc), ce
 		s.flags |= pwHasRead
 	case mem.Write:
 		// Check-then-write detection: the most recent read of this
@@ -384,7 +402,7 @@ func (d *Pairwise) OnAccess(a Access) {
 		if hasRead && s.read.op != a.Op && d.concurrent(s, s.read.op, &s.readEp, false, a.Op, &ce) {
 			d.report(s, s.read, a, readFirst)
 		}
-		s.write, s.writeEp = recOf(a), ce
+		s.write, s.writeEp = d.descs.rec(a, s.write.desc), ce
 		s.flags |= pwHasWrite
 		d.demote(s)
 	}
@@ -420,7 +438,7 @@ func (d *Pairwise) report(s *pairWord, prior rec, cur Access, writerReadFirst bo
 	}
 	d.reports = append(d.reports, Report{
 		Loc:             cur.Loc,
-		Prior:           prior.access(cur.Loc),
+		Prior:           prior.access(cur.Loc, &d.descs),
 		Current:         cur,
 		WriterReadFirst: writerReadFirst,
 	})
@@ -435,6 +453,7 @@ func (d *Pairwise) Reports() []Report { return d.reports }
 type AccessSet struct {
 	oracle  hb.Oracle
 	history locTable[accessHistory]
+	descs   descTable
 	// onePerLoc mirrors WebRacer's at-most-one-race-per-location
 	// reporting (the OnePerLoc option).
 	onePerLoc bool
@@ -480,13 +499,13 @@ func (d *AccessSet) OnAccess(a Access) {
 				}
 				h.reported = true
 			}
-			d.reports = append(d.reports, Report{Loc: a.Loc, Prior: r.access(a.Loc), Current: a, WriterReadFirst: readFirst})
+			d.reports = append(d.reports, Report{Loc: a.Loc, Prior: r.access(a.Loc, &d.descs), Current: a, WriterReadFirst: readFirst})
 			if d.onePerLoc {
 				break
 			}
 		}
 	}
-	h.recs = append(h.recs, recOf(a))
+	h.recs = append(h.recs, d.descs.rec(a, descEmpty))
 }
 
 // Reports implements Detector.
@@ -562,6 +581,15 @@ func (r *Recorder) Trace() []Access {
 	// fresh chunk instead of copying it.
 	r.full, r.tail = nil, flat
 	return flat
+}
+
+// EachChunk calls f on the recorded accesses in order, chunk by chunk, in
+// place: unlike Trace it copies nothing. f must not modify the chunks.
+func (r *Recorder) EachChunk(f func([]Access)) {
+	for _, c := range r.full {
+		f(c)
+	}
+	f(r.tail)
 }
 
 // Reports implements Detector.

@@ -315,14 +315,14 @@ func TestWriteAfterReadShareDemotion(t *testing.T) {
 	}
 	d.OnAccess(rd(x, 4)) // second chain: promotes to the cert set
 	if s.flags&pwHasCert != 0 || s.flags&pwShared == 0 {
-		t.Fatalf("read-share promotion missing: flags=%b certs=%v", s.flags, s.certs)
+		t.Fatalf("read-share promotion missing: flags=%b certs=%v", s.flags, d.certSets)
 	}
-	if len(s.certs) != 2 {
-		t.Errorf("cert set has %d chains, want 2", len(s.certs))
+	if n := len(d.certSets[s.certs-1]); n != 2 {
+		t.Errorf("cert set has %d chains, want 2", n)
 	}
 	d.OnAccess(wr(x, 5)) // op 5 is unordered: races, and demotes the certs
-	if s.flags&(pwHasCert|pwShared) != 0 || len(s.certs) != 0 {
-		t.Errorf("write did not demote certificates: flags=%b certs=%v", s.flags, s.certs)
+	if s.flags&(pwHasCert|pwShared) != 0 || len(d.certSets[s.certs-1]) != 0 {
+		t.Errorf("write did not demote certificates: flags=%b certs=%v", s.flags, d.certSets)
 	}
 	if st := d.Stats(); st.Promotions != 1 || st.Demotions != 1 {
 		t.Errorf("promotions %d, demotions %d, want 1 and 1", st.Promotions, st.Demotions)

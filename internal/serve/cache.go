@@ -115,7 +115,9 @@ func (c *Cache) peek(key string) ([]byte, bool) {
 // the budget holds. A body too large to ever fit is counted
 // (serve.cache.too_large) and dropped; a key already present is refreshed
 // in place (bodies for one key are identical by construction, but the
-// accounting stays exact either way).
+// accounting stays exact either way). The budget charges len(body), so
+// body should carry no spare capacity: the server's own bodies, from
+// marshalBody and the store, have cap == len.
 func (c *Cache) Put(key string, body []byte) { c.put(key, body) }
 
 // put is Put, reporting whether the cache took body: false when it is

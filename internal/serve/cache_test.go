@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"webracer/internal/obs"
 )
@@ -116,4 +118,50 @@ func TestCacheBudgetNeverExceeded(t *testing.T) {
 	if puts := snap(t, m, "serve.cache.puts"); puts != 100 {
 		t.Fatalf("puts = %d, want 100", puts)
 	}
+}
+
+// TestCacheBodiesExactSize holds every body the cache keeps to its
+// length: the budget charges len(body), so spare capacity behind a body
+// is memory the cache holds but never counts. Detect, sweep and
+// fault-sweep results are checked on a store-backed node, and again on a
+// node that reloads them from the store.
+func TestCacheBodiesExactSize(t *testing.T) {
+	dir := t.TempDir()
+	jobs := []struct{ path, body string }{
+		{"/v1/detect", `{"site":` + racySite + `,"seed":3}`},
+		{"/v1/detect", `{"spec":{"index":2},"seed":9}`},
+		{"/v1/sweep", `{"site":` + racySite + `,"seeds":3}`},
+		{"/v1/sweep", `{"spec":{"kind":"sched","index":0},"mode":"delay-one"}`},
+		{"/v1/faultsweep", `{"spec":{"kind":"fault","index":1},"plans":2}`},
+	}
+	check := func(t *testing.T, s *Server, want int) {
+		t.Helper()
+		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
+		if s.cache.ll.Len() != want {
+			t.Fatalf("cache holds %d bodies, want %d", s.cache.ll.Len(), want)
+		}
+		for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*centry)
+			if cap(e.body) != len(e.body) {
+				t.Errorf("cached body %s: cap %d, len %d", e.key, cap(e.body), len(e.body))
+			}
+		}
+	}
+	s, ts := newTestServer(t, Config{StoreDir: dir})
+	for _, j := range jobs {
+		if resp, b := post(t, ts, j.path, j.body); resp.StatusCode != 200 {
+			t.Fatalf("POST %s: %d %s", j.path, resp.StatusCode, b)
+		}
+	}
+	check(t, s, len(jobs))
+	// Drain: a job's store write may still be in flight after its answer.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	reloaded := NewServer(Config{StoreDir: dir})
+	defer func() { _ = reloaded.Drain(ctx) }()
+	check(t, reloaded, len(jobs))
 }

@@ -1089,15 +1089,41 @@ type errorBody struct {
 }
 
 // marshalBody serializes a response payload the one canonical way:
-// two-space indent, trailing newline. Byte stability of the payload
-// values plus a fixed encoder make response bodies cache-comparable.
+// indented JSON (json.MarshalIndent's bytes) plus a trailing newline. It
+// encodes once, into a pooled buffer, and returns an exact-size copy
+// (cap == len), so a body the cache keeps pins no more than it is charged
+// for.
 func marshalBody(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	e := bodyEncoders.Get().(*bodyEncoder)
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		bodyEncoders.Put(e)
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	body := make([]byte, e.buf.Len())
+	copy(body, e.buf.Bytes())
+	if e.buf.Cap() <= maxPooledBody {
+		bodyEncoders.Put(e)
+	}
+	return body, nil
 }
+
+// bodyEncoder is marshalBody's pooled encoder and the buffer it writes.
+type bodyEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledBody caps the buffer an encoder may keep in the pool; one
+// that grew past it for a large sweep is dropped instead.
+const maxPooledBody = 1 << 20
+
+var bodyEncoders = sync.Pool{New: func() any {
+	e := &bodyEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
 
 // mustMarshal is marshalBody for shapes that cannot fail.
 func mustMarshal(v any) []byte {

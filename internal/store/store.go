@@ -41,6 +41,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -147,7 +148,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	path := filepath.Join(s.dir, fileName(key))
-	raw, err := os.ReadFile(path)
+	raw, err := readExact(path)
 	if err != nil {
 		s.misses.Inc()
 		return nil, false
@@ -224,7 +225,7 @@ func (s *Store) recover(onEntry func(key string, body []byte)) error {
 			_ = os.Remove(path)
 			continue
 		}
-		raw, err := os.ReadFile(path)
+		raw, err := readExact(path)
 		if err != nil {
 			s.errors.Inc()
 			continue
@@ -297,6 +298,27 @@ func encodeEntry(key string, body []byte) []byte {
 	buf.WriteByte('\n')
 	buf.Write(body)
 	return buf.Bytes()
+}
+
+// readExact reads a whole entry file into a buffer of exactly its size.
+// The body is the entry's tail, so the body decodeEntry returns has
+// cap == len: a cache keeping it pins the entry's header besides the
+// body, and nothing more.
+func readExact(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	raw := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // decodeEntry parses and verifies one on-disk entry, returning its body

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"webracer/internal/browser"
 	"webracer/internal/canon"
 	"webracer/internal/explore"
 	"webracer/internal/loader"
@@ -39,8 +40,7 @@ type ClassStats = explore.ClassStats
 // would need a SHA-256 collision.
 func fingerprintOf(res *Result) string {
 	b := res.Browser
-	trace := b.Trace()
-	s := getFPScratch(trace)
+	s := getFPScratch(b)
 	defer s.release()
 	cb := &s.cb
 	for id := 1; id <= b.Ops.Len(); id++ {
@@ -60,8 +60,7 @@ func fingerprintOf(res *Result) string {
 	hb := func(x, y int32) bool { return g.HappensBefore(op.ID(x), op.ID(y)) }
 	for gi, l := range s.groups {
 		acc := s.acc[:0]
-		for _, idx := range s.stream(gi) {
-			a := &trace[idx]
+		for _, a := range s.stream(gi) {
 			acc = append(acc, canon.Access{
 				Label: labelFor(&l.labels, a, l.key),
 				Write: a.Kind == mem.Write,
@@ -75,16 +74,17 @@ func fingerprintOf(res *Result) string {
 }
 
 // fpScratch is the working memory of fingerprintOf and notePairs: the
-// trace grouped by location, and the fingerprint's buffers. It is
+// trace grouped by location, read in place from the recorder's chunks,
+// and the fingerprint's buffers. It is
 // pooled; a sweep fingerprints every execution, and the buffers' sizes
 // repeat from one execution to the next. Its location table outlives a
 // run: the keys and labels it caches are pure functions of the Loc, and
 // a sweep's executions touch mostly the same locations.
 type fpScratch struct {
 	run    uint32
-	groups []*locInfo // this run's locations, in order of first access
-	idx    []int32    // group g's trace indices are idx[g.start:g.end]
-	of     []int32    // trace index → group
+	groups []*locInfo     // this run's locations, in order of first access
+	idx    []*race.Access // group g's accesses are idx[g.start:g.end]
+	of     []int32        // trace index → group
 	byLoc  map[mem.Loc]*locInfo
 	byKey  map[string]*locInfo
 	ops    map[opKey]string // dispatch labels by kind and raw label
@@ -112,7 +112,7 @@ type opKey struct {
 // finds either larger starts both afresh.
 const maxLocTable = 1 << 12
 
-func (s *fpScratch) stream(g int) []int32 {
+func (s *fpScratch) stream(g int) []*race.Access {
 	return s.idx[s.groups[g].start:s.groups[g].end]
 }
 
@@ -120,13 +120,13 @@ var fpPool = sync.Pool{New: func() any {
 	return &fpScratch{byLoc: map[mem.Loc]*locInfo{}, byKey: map[string]*locInfo{}, ops: map[opKey]string{}}
 }}
 
-// getFPScratch takes a scratch from the pool with trace grouped by
-// Loc.String, each distinct location's key computed once per table. The
-// key, not the Loc, is the group: Loc.String is not injective (a global
-// named "obj3.x" prints as property x of object 3 does), and the
-// fingerprint's encoding is defined over the key. Groups are in order of
-// first access.
-func getFPScratch(trace []race.Access) *fpScratch {
+// getFPScratch takes a scratch from the pool with b's recorded trace
+// grouped by Loc.String, each distinct location's key computed once per
+// table. The key, not the Loc, is the group: Loc.String is not injective
+// (a global named "obj3.x" prints as property x of object 3 does), and
+// the fingerprint's encoding is defined over the key. Groups are in order
+// of first access.
+func getFPScratch(b *browser.Browser) *fpScratch {
 	s := fpPool.Get().(*fpScratch)
 	s.run++
 	if s.run == 0 || len(s.byLoc) > maxLocTable || len(s.ops) > maxLocTable {
@@ -135,34 +135,40 @@ func getFPScratch(trace []race.Access) *fpScratch {
 		clear(s.ops)
 		s.run = 1
 	}
-	s.of = slices.Grow(s.of[:0], len(trace))[:len(trace)]
-	for i := range trace {
-		l := s.byLoc[trace[i].Loc]
-		if l == nil {
-			key := trace[i].Loc.String()
-			if l = s.byKey[key]; l == nil {
-				l = &locInfo{key: key}
-				s.byKey[key] = l
+	s.of = s.of[:0]
+	b.EachTraceChunk(func(chunk []race.Access) {
+		for i := range chunk {
+			l := s.byLoc[chunk[i].Loc]
+			if l == nil {
+				key := chunk[i].Loc.String()
+				if l = s.byKey[key]; l == nil {
+					l = &locInfo{key: key}
+					s.byKey[key] = l
+				}
+				s.byLoc[chunk[i].Loc] = l
 			}
-			s.byLoc[trace[i].Loc] = l
+			if l.run != s.run {
+				l.run, l.group, l.end = s.run, int32(len(s.groups)), 0
+				s.groups = append(s.groups, l)
+			}
+			s.of = append(s.of, l.group)
+			l.end++
 		}
-		if l.run != s.run {
-			l.run, l.group, l.end = s.run, int32(len(s.groups)), 0
-			s.groups = append(s.groups, l)
-		}
-		s.of[i] = l.group
-		l.end++
-	}
+	})
 	var off int32
 	for _, l := range s.groups {
 		l.start, l.end, off = off, off, off+l.end
 	}
-	s.idx = slices.Grow(s.idx[:0], len(trace))[:len(trace)]
-	for i, g := range s.of {
-		l := s.groups[g]
-		s.idx[l.end] = int32(i)
-		l.end++
-	}
+	s.idx = slices.Grow(s.idx[:0], len(s.of))[:len(s.of)]
+	i := 0
+	b.EachTraceChunk(func(chunk []race.Access) {
+		for j := range chunk {
+			l := s.groups[s.of[i]]
+			s.idx[l.end] = &chunk[j]
+			l.end++
+			i++
+		}
+	})
 	return s
 }
 
@@ -170,6 +176,7 @@ func getFPScratch(trace []race.Access) *fpScratch {
 // the pool.
 func (s *fpScratch) release() {
 	clear(s.groups)
+	clear(s.idx)
 	clear(s.acc)
 	s.groups = s.groups[:0]
 	s.cb.Reset()
@@ -291,8 +298,7 @@ func isWordByte(c byte) bool {
 // Locations are grouped as the fingerprint groups them. Only the
 // delay-one sweep reads the index.
 func notePairs(cs *explore.ClassSet, res *Result) {
-	trace := res.Browser.Trace()
-	s := getFPScratch(trace)
+	s := getFPScratch(res.Browser)
 	defer s.release()
 	type access struct {
 		op   op.ID
@@ -314,8 +320,8 @@ func notePairs(cs *explore.ClassSet, res *Result) {
 	for gi, l := range s.groups {
 		clear(seen)
 		accs = accs[:0]
-		for _, idx := range s.stream(gi) {
-			if a := (access{trace[idx].Op, trace[idx].Kind}); !seen[a] {
+		for _, acc := range s.stream(gi) {
+			if a := (access{acc.Op, acc.Kind}); !seen[a] {
 				seen[a] = true
 				accs = append(accs, a)
 			}
